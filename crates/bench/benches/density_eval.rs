@@ -35,8 +35,9 @@
 //! the reported time divided by L; per-state throughput vs the single-lane
 //! `gprob_grad_dprog` row is the lane-scaling ratio the PR 6 acceptance
 //! gates on. The `advi_step_{batched,sequential}` rows run the same short
-//! ADVI fit through `advi_fit_batch` (all K Monte-Carlo guide draws per step
-//! in one multi-lane pass) vs the per-draw `advi_fit_mut` loop.
+//! ADVI fit through `advi_fit` over a target with the multi-lane batch entry
+//! (all K Monte-Carlo guide draws per step in one pass) vs a target that
+//! keeps the default per-draw `logp_grad_batch` loop.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -211,8 +212,8 @@ fn bench_density(c: &mut Criterion) {
             })
         });
         // Short ADVI fits, identical config and RNG stream: the batched
-        // entry scores all `grad_samples` guide draws per step through one
-        // multi-lane pass, the sequential entry loops them one by one.
+        // target scores all `grad_samples` guide draws per step through one
+        // multi-lane pass, the per-point target loops them one by one.
         let advi_cfg = inference::AdviConfig {
             steps: 25,
             grad_samples: 8,
@@ -227,20 +228,16 @@ fn bench_density(c: &mut Criterion) {
                 ws: gmodel.grad_workspace(),
             };
             b.iter(|| {
-                inference::advi_fit_batch(
-                    &mut target,
-                    gmodel.dim(),
-                    std::hint::black_box(&advi_cfg),
-                )
+                inference::advi_fit(&mut target, gmodel.dim(), std::hint::black_box(&advi_cfg))
             })
         });
         group.bench_function(format!("{name}/advi_step_sequential"), |b| {
-            let mut target = DProgTarget {
+            let mut target = PerPointTarget(DProgTarget {
                 model: &gmodel,
                 ws: gmodel.grad_workspace(),
-            };
+            });
             b.iter(|| {
-                inference::advi_fit_mut(&mut target, gmodel.dim(), std::hint::black_box(&advi_cfg))
+                inference::advi_fit(&mut target, gmodel.dim(), std::hint::black_box(&advi_cfg))
             })
         });
     }
@@ -279,6 +276,18 @@ impl inference::GradTargetBatch for DProgTarget<'_> {
         }
     }
 }
+
+/// [`DProgTarget`] without its batched entry: `advi_fit` then scores the
+/// guide draws through the default per-point `logp_grad_batch` loop.
+struct PerPointTarget<'m>(DProgTarget<'m>);
+
+impl inference::GradTargetMut for PerPointTarget<'_> {
+    fn logp_grad_into(&mut self, q: &[f64], grad: &mut [f64]) -> f64 {
+        self.0.logp_grad_into(q, grad)
+    }
+}
+
+impl inference::GradTargetBatch for PerPointTarget<'_> {}
 
 /// Generated-quantities throughput, per posterior draw: the slot-resolved
 /// streaming path (`gq_resolved`, pooled `GqWorkspace`, sweep-lowered rows)

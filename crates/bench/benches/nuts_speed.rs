@@ -11,7 +11,7 @@
 //! single-chain row.
 //!
 //! The `gprob_jit_target` / `gprob_dprog_target` pair drives one identical
-//! NUTS harness (`nuts_sample_mut`) through the routed gradient entry
+//! NUTS harness (`nuts_sample`) through the routed gradient entry
 //! (native code when the platform JITs the density program) vs the entry
 //! pinned to the interpreted DProg — the end-to-end effect of
 //! `gprob::dprog::jit` on sampling wall time, with everything else held
@@ -102,7 +102,7 @@ fn bench_nuts(c: &mut Criterion) {
                     model: &model,
                     ws: &mut ws,
                 };
-                inference::nuts::nuts_sample_mut(&mut target, init, &config)
+                nuts_sample(&mut target, init, &config)
             })
         });
         // The same NUTS harness over the two density-program entries:
@@ -148,7 +148,7 @@ fn bench_nuts(c: &mut Criterion) {
                         ws: &mut ws,
                         jit,
                     };
-                    inference::nuts::nuts_sample_mut(&mut target, init, &config)
+                    nuts_sample(&mut target, init, &config)
                 })
             });
         }
@@ -211,7 +211,7 @@ fn bench_nuts(c: &mut Criterion) {
                     seed: settings.seed,
                     ..Default::default()
                 };
-                nuts_sample(&target, init, &config)
+                nuts_sample(&mut &target, init, &config)
             })
         });
     }

@@ -25,7 +25,7 @@ fn main() {
             );
             continue;
         }
-        let reference = run_backend(entry, BackendKind::StanRef, 42);
+        let reference = run_backend(entry, BackendKind::StanRef, 42, 42);
         let Some(ref_post) = reference.posterior.as_ref() else {
             println!(
                 "{:<28} reference failed: {}",
@@ -41,7 +41,7 @@ fn main() {
             BackendKind::GProbMixed,
             BackendKind::GProbGenerative,
         ] {
-            let outcome = run_backend(entry, backend, 42);
+            let outcome = run_backend(entry, backend, 42, 42);
             let cell = match &outcome.posterior {
                 Some(p) => {
                     let (ok, _) = accuracy_vs_reference(p, ref_post);

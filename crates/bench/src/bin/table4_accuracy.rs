@@ -1,7 +1,8 @@
 //! Table 4 (appendix) — mean relative error of every backend against the
-//! reference posterior, for every corpus model.
+//! reference posterior, for every corpus model, all fit on one data set
+//! per model.
 
-use deepstan_bench::{accuracy_vs_reference, run_backend, BackendKind};
+use deepstan_bench::table4_row;
 
 fn main() {
     let corpus = model_zoo::corpus();
@@ -17,32 +18,14 @@ fn main() {
             );
             continue;
         }
-        let reference = run_backend(entry, BackendKind::StanRef, 42);
-        let Some(ref_post) = reference.posterior.as_ref() else {
+        let Some(errors) = table4_row(entry) else {
             println!("{:<28} reference failed", entry.name);
             continue;
         };
-        // Self-error of a second reference run with a different seed, the
-        // analogue of the paper's "Stan" error column.
-        let second = run_backend(entry, BackendKind::StanRef, 43);
-        let self_err = second
-            .posterior
-            .as_ref()
-            .map(|p| accuracy_vs_reference(p, ref_post).1);
-        let mut row = vec![self_err
-            .map(|e| format!("{e:.2}"))
-            .unwrap_or_else(|| "✗".to_string())];
-        for backend in [
-            BackendKind::GProbComprehensive,
-            BackendKind::GProbMixed,
-            BackendKind::GProbGenerative,
-        ] {
-            let outcome = run_backend(entry, backend, 7);
-            row.push(match &outcome.posterior {
-                Some(p) => format!("{:.2}", accuracy_vs_reference(p, ref_post).1),
-                None => "✗".to_string(),
-            });
-        }
+        let row: Vec<String> = errors
+            .iter()
+            .map(|e| e.map_or_else(|| "✗".to_string(), |e| format!("{e:.2}")))
+            .collect();
         println!(
             "{:<28} {:>10} {:>10} {:>10} {:>10}",
             entry.name, row[0], row[1], row[2], row[3]

@@ -29,7 +29,7 @@ fn main() {
             let mut times = Vec::new();
             let mut failed = false;
             for seed in 0..runs {
-                let outcome = run_backend(entry, backend, 100 + seed);
+                let outcome = run_backend(entry, backend, 100 + seed, 100 + seed);
                 if outcome.ok {
                     times.push(outcome.seconds);
                 } else {

@@ -113,13 +113,21 @@ pub fn reference_settings(seed: u64, cost: u32) -> NutsSettings {
     }
 }
 
-/// Runs one backend on one corpus model.
-pub fn run_backend(entry: &ModelEntry, backend: BackendKind, seed: u64) -> RunOutcome {
+/// Runs one backend on one corpus model, fit on `entry.dataset(data_seed)`
+/// with sampler seed `seed`. Runs whose posteriors are compared with each
+/// other must share `data_seed`; otherwise the comparison measures the
+/// change of data set, not the backend.
+pub fn run_backend(
+    entry: &ModelEntry,
+    backend: BackendKind,
+    data_seed: u64,
+    seed: u64,
+) -> RunOutcome {
     let start = Instant::now();
     let result = (|| -> Result<Posterior, String> {
         let program =
             DeepStan::compile_named(entry.name, entry.source).map_err(|e| e.to_string())?;
-        let data = entry.dataset(seed);
+        let data = entry.dataset(data_seed);
         let data_refs: Vec<(&str, Value<f64>)> =
             data.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
         let settings = if backend == BackendKind::StanRef {
@@ -172,6 +180,30 @@ pub fn accuracy_vs_reference(posterior: &Posterior, reference: &Posterior) -> (b
         rel += (means[i] - ref_means[i]).abs() / ref_sds[i].max(1e-12);
     }
     (pass, rel / n.max(1) as f64)
+}
+
+/// The data set every Table 4 row is fit on, references and backends alike.
+pub const TABLE4_DATA_SEED: u64 = 42;
+
+/// One Table 4 row: the mean relative error against a reference posterior
+/// (`stan_ref`, sampler seed 42) of a second reference run (sampler seed
+/// 43, the paper's "Stan" self-error column) and of the comprehensive,
+/// mixed and generative GProb backends (sampler seed 7). Every run is fit
+/// on `dataset(TABLE4_DATA_SEED)`. A cell is `None` when its run failed;
+/// the row is `None` when the reference itself failed.
+pub fn table4_row(entry: &ModelEntry) -> Option<[Option<f64>; 4]> {
+    let reference = run_backend(entry, BackendKind::StanRef, TABLE4_DATA_SEED, 42).posterior?;
+    let error = |backend, seed| {
+        run_backend(entry, backend, TABLE4_DATA_SEED, seed)
+            .posterior
+            .map(|p| accuracy_vs_reference(&p, &reference).1)
+    };
+    Some([
+        error(BackendKind::StanRef, 43),
+        error(BackendKind::GProbComprehensive, 7),
+        error(BackendKind::GProbMixed, 7),
+        error(BackendKind::GProbGenerative, 7),
+    ])
 }
 
 /// The cheap "does one inference transition run" check behind Table 2.
@@ -356,6 +388,20 @@ mod tests {
         assert!(one_iteration_runs(&entry, Scheme::Mixed, false));
         let truncated = model_zoo::find("truncated_normal").unwrap();
         assert!(!one_iteration_runs(&truncated, Scheme::Comprehensive, true));
+    }
+
+    #[test]
+    fn table4_scores_every_backend_against_a_reference_on_the_same_data() {
+        // Fit on different data sets, the reference and the backends would
+        // disagree by about one posterior standard deviation per
+        // coefficient, far above the paper's 0.3 threshold.
+        let entry = model_zoo::find("kidscore_momiq").unwrap();
+        let row = table4_row(&entry).expect("reference runs");
+        let [self_err, compr, mixed, _] = row;
+        for err in [self_err, compr, mixed] {
+            let err = err.expect("backend runs");
+            assert!(err < 0.3, "mean relative error {err}");
+        }
     }
 
     #[test]

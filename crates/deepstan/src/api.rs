@@ -8,7 +8,7 @@ use gprob::model::ParamSlot;
 use gprob::value::{Env, RuntimeError, Value};
 use gprob::GModel;
 use inference::diagnostics::{summarize, Summary};
-use inference::target::{GradTarget, GradTargetMut};
+use inference::target::{GradTargetBatch, GradTargetMut};
 use stan2gprob::{compile, CompileError, Scheme};
 use stan_frontend::ast::Program;
 use stan_frontend::FrontendError;
@@ -242,33 +242,11 @@ impl CompiledProgram {
     }
 }
 
-/// [`GradTarget`] adapter for the slot-resolved GProb runtime (allocating
-/// path; chains built by a `Session` use the workspace-pooled
-/// [`WorkspaceTarget`](crate::session::WorkspaceTarget) instead).
-/// Evaluation errors surface as `-inf` plateaus.
-pub struct GModelTarget<'a>(pub &'a GModel);
-
-impl GradTarget for GModelTarget<'_> {
-    fn logp_grad(&self, q: &[f64]) -> (f64, Vec<f64>) {
-        self.0
-            .log_density_and_grad(q)
-            .unwrap_or_else(|_| (f64::NEG_INFINITY, vec![0.0; q.len()]))
-    }
-}
-
-/// [`GradTarget`] adapter for the baseline Stan-semantics interpreter.
+/// [`GradTargetMut`] adapter for the baseline Stan-semantics interpreter.
+/// It has no pooled workspace, so it forwards to the allocating path;
+/// evaluation errors surface as `-inf` plateaus.
 pub struct StanModelTarget<'a>(pub &'a StanModel);
 
-impl GradTarget for StanModelTarget<'_> {
-    fn logp_grad(&self, q: &[f64]) -> (f64, Vec<f64>) {
-        self.0
-            .log_density_and_grad(q)
-            .unwrap_or_else(|_| (f64::NEG_INFINITY, vec![0.0; q.len()]))
-    }
-}
-
-/// The reference interpreter has no pooled workspace; its buffered target
-/// simply forwards to the allocating path.
 impl GradTargetMut for StanModelTarget<'_> {
     fn logp_grad_into(&mut self, q: &[f64], grad: &mut [f64]) -> f64 {
         match self.0.log_density_and_grad(q) {
@@ -287,7 +265,7 @@ impl GradTargetMut for StanModelTarget<'_> {
 /// No batched backend either: the default per-point loop keeps the
 /// reference interpreter usable from batch-driven samplers, bitwise
 /// identically to the single-point path.
-impl inference::target::GradTargetBatch for StanModelTarget<'_> {}
+impl GradTargetBatch for StanModelTarget<'_> {}
 
 /// Converts a data slice into an environment.
 pub fn env_of(data: &[(&str, Value<f64>)]) -> Env<f64> {

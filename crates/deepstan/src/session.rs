@@ -25,7 +25,7 @@
 //! Since the tape-free density programs landed ([`gprob::dprog`]), binding a
 //! model also lowers its density to a flat register program when the body
 //! admits one; every chain's [`WorkspaceTarget`] then evaluates gradients
-//! with no tape at all (NUTS, HMC and ADVI all drive the same
+//! with no tape at all (NUTS and ADVI both drive the same
 //! `log_density_and_grad_with` route). Models that decline — with a reason
 //! readable via `GModel::dprog_decline` — keep the recorded-tape path,
 //! byte-identical to the previous behavior.
@@ -37,8 +37,9 @@
 //! scored together by the lane-widened density program — one
 //! struct-of-arrays sweep per group of up to 8 chains. ADVI likewise batches
 //! its per-step Monte-Carlo guide draws through the same surface. Per-chain
-//! draws are bitwise identical to the threaded path either way; declined
-//! models keep the thread-per-chain sharding.
+//! draws are bitwise identical to the threaded path either way, because
+//! both routes run the one NUTS state machine; declined models keep the
+//! thread-per-chain sharding.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -49,14 +50,14 @@ use std::time::Instant;
 use gprob::model::ParamSlot;
 use gprob::value::Value;
 use gprob::GModel;
-use inference::advi::{advi_fit_batch, AdviConfig};
+use inference::advi::{advi_fit, AdviConfig};
 use inference::cancel::CancelToken;
 use inference::diagnostics::{
     multi_ess, multi_split_rhat, rank_normalized_split_rhat, summarize, tail_ess, Summary,
 };
 use inference::importance::{likelihood_log_weights, resample_indices, weight_draws};
 use inference::loo::{loo_compare, psis_loo, waic, CompareRow, ElpdEstimate};
-use inference::nuts::{nuts_sample_lockstep, nuts_sample_mut, NutsConfig, NutsResult};
+use inference::nuts::{nuts_sample, nuts_sample_lockstep, NutsConfig, NutsResult};
 use inference::predictive::{draw_seed, stream_chains, GqTable};
 use inference::target::{GradTargetBatch, GradTargetMut};
 use rand::rngs::StdRng;
@@ -130,7 +131,7 @@ pub struct Session<'p> {
     /// sessions with zero rebinding.
     model: Option<(Scheme, Arc<GModel>)>,
     reference_model: Option<stan_ref::StanModel>,
-    /// Overrides the lockstep-vs-sequential multi-chain NUTS decision
+    /// Overrides the lockstep-vs-threads multi-chain NUTS decision
     /// (`None` = the cost heuristic decides). Both paths produce bitwise
     /// identical draws; benches force each side to measure the other.
     lockstep: Option<bool>,
@@ -283,12 +284,20 @@ impl Session<'_> {
     /// draws become available, *before* the full [`Fit`] is assembled —
     /// serving layers flush per-chain response frames from here.
     ///
-    /// Thread-per-chain NUTS runs invoke the observer incrementally in chain
-    /// *completion* order while other chains are still sampling. Lockstep
-    /// NUTS (all chains advance through one lane-batched gradient) and the
-    /// other methods finish their chains together, so the observer fires for
-    /// each chain in index order at completion. Either way every chain is
-    /// observed exactly once and the returned fit is identical to
+    /// The order depends on the route:
+    ///
+    /// * Thread-per-chain NUTS (the reference backend, declined models,
+    ///   programs below the lockstep cost floor, or `lockstep(false)`)
+    ///   invokes the observer incrementally in chain *completion* order
+    ///   while other chains are still sampling.
+    /// * Lockstep NUTS (all chains advance through one lane-batched
+    ///   gradient) finishes its chains together, so the observer fires for
+    ///   each chain in index order once the last chain is done.
+    /// * ADVI, SVI and importance sampling also observe in index order,
+    ///   after the whole run.
+    ///
+    /// Either way every chain is observed exactly once — also a chain cut
+    /// short by [`Session::cancel`] — and the returned fit is identical to
     /// [`Session::run`].
     ///
     /// # Errors
@@ -372,20 +381,17 @@ impl Session<'_> {
         let pool_arc = self.workspace_pool.clone();
         if reference {
             let model = self.ref_model()?;
-            let runs = run_nuts_chains(
+            let mut fit = NutsFitCollector::new(chains, model.slots(), on_chain);
+            run_nuts_chains(
                 chains,
-                seed,
                 &config,
+                false,
                 &|| StanModelTarget(model),
                 &|rng| init_point(&init, rng, model.dim()),
                 &|theta| model.log_density_f64(theta).map(|_| ()),
+                &mut |c, result, wall_time| fit.push(c, result, wall_time),
             )?;
-            return Ok(collect_nuts_fit(
-                model.component_names(),
-                model.slots(),
-                runs,
-                on_chain,
-            ));
+            return Ok(fit.finish(model.component_names()));
         }
         let model = self.model()?;
         // A workspace pool only applies when it was built over this exact
@@ -394,10 +400,6 @@ impl Session<'_> {
         let pool = pool_arc
             .as_deref()
             .filter(|p| std::ptr::eq(p.model().as_ref() as *const GModel, model));
-        let make_target = || match pool {
-            Some(p) => WorkspaceTarget::pooled(p),
-            None => WorkspaceTarget::new(model),
-        };
         // Multi-chain runs over a compiled density program advance all
         // chains in lockstep so the lane-widened DProg scores every chain's
         // leapfrog state in one batched sweep; declined models — and
@@ -411,61 +413,20 @@ impl Session<'_> {
                 }
                 None => false,
             };
-        if lockstep {
-            let runs = run_nuts_chains_lockstep(
-                chains,
-                seed,
-                &config,
-                &make_target,
-                &|rng| init_point(&init, rng, model.dim()),
-                &|theta| model.log_density_f64(theta).map(|_| ()),
-            )?;
-            return Ok(collect_nuts_fit(
-                model.component_names(),
-                model.slots(),
-                runs,
-                on_chain,
-            ));
-        }
-        // Thread-per-chain sharding streams: each chain's constrained draws
-        // are handed to the observer as that chain finishes, while the
-        // remaining chains keep sampling.
-        let names = model.component_names();
-        let slots = model.slots();
-        let mut results: Vec<Option<ChainResult>> = (0..chains).map(|_| None).collect();
-        let mut cancelled = false;
-        run_nuts_chains_streaming(
+        let mut fit = NutsFitCollector::new(chains, model.slots(), on_chain);
+        run_nuts_chains(
             chains,
-            seed,
             &config,
-            &make_target,
+            lockstep,
+            &|| match pool {
+                Some(p) => WorkspaceTarget::pooled(p),
+                None => WorkspaceTarget::new(model),
+            },
             &|rng| init_point(&init, rng, model.dim()),
             &|theta| model.log_density_f64(theta).map(|_| ()),
-            &mut |c, result, wall_time| {
-                cancelled |= result.cancelled;
-                let chain = ChainResult {
-                    draws: constrain_chain(slots, result.draws),
-                    divergences: result.divergences,
-                    wall_time,
-                    n_grad_evals: result.n_grad_evals,
-                };
-                on_chain(c, &chain);
-                results[c] = Some(chain);
-            },
+            &mut |c, result, wall_time| fit.push(c, result, wall_time),
         )?;
-        Ok(Fit {
-            method: FitMethod::Nuts,
-            names,
-            chains: results
-                .into_iter()
-                .map(|r| r.expect("every chain reported a result"))
-                .collect(),
-            wall_time: 0.0,
-            variational: None,
-            weights: None,
-            gq: None,
-            cancelled,
-        })
+        Ok(fit.finish(model.component_names()))
     }
 
     fn run_advi(&mut self, config: &AdviConfig) -> Result<Fit, InferenceError> {
@@ -1015,83 +976,77 @@ impl GradTargetBatch for WorkspaceTarget<'_> {
     }
 }
 
-/// Runs `chains` NUTS chains, in parallel threads beyond the first, each on
-/// its own freshly built target (one workspace per chain). Chain `c` uses
-/// seed `base_seed + c` for both its starting point and its sampler.
+/// Runs `chains` NUTS chains and hands each one's result to `on_chain` with
+/// its wall time. Chain `c` uses seed `config.seed + c` for both its
+/// starting point and its sampler.
 ///
 /// Before each chain samples, its own starting point is checked with
 /// `check` (a plain density evaluation), so a runtime error on *any*
 /// chain's init surfaces as an error rather than a silent `-inf` plateau
 /// that would pool a frozen chain into the summaries.
+///
+/// With `lockstep`, every chain advances over one shared batched target:
+/// each round, all chains' pending leapfrog evaluations go through one
+/// `logp_grad_batch` call, which a lane-widened density program scores
+/// with one struct-of-arrays sweep per lane group. The chains finish
+/// together and are observed in index order; wall time cannot be
+/// attributed per chain, so each reports an equal share of the run.
+///
+/// Otherwise each chain runs alone on its own target (one workspace per
+/// chain), in parallel threads beyond the first. Results are funneled
+/// through an mpsc channel to the calling thread, which observes them in
+/// chain *completion* order while the remaining chains keep sampling — the
+/// incremental flush point of `serve`'s streaming responses. If any chain
+/// fails its init check, the first error (in completion order) is returned
+/// after all chains finish.
+///
+/// Either way, chain `c` runs the same NUTS state machine on the same
+/// seed, so its draws are bitwise identical across the two routes.
+#[allow(clippy::too_many_arguments)]
 fn run_nuts_chains<T, F, G, C>(
     chains: usize,
-    base_seed: u64,
     config: &NutsConfig,
-    make_target: &F,
-    make_init: &G,
-    check: &C,
-) -> Result<Vec<(NutsResult, f64)>, InferenceError>
-where
-    T: GradTargetMut,
-    F: Fn() -> T + Sync,
-    G: Fn(&mut StdRng) -> Vec<f64> + Sync,
-    C: Fn(&[f64]) -> Result<(), gprob::RuntimeError> + Sync,
-{
-    let run_one = |c: usize| -> Result<(NutsResult, f64), InferenceError> {
-        let mut chain_cfg = config.clone();
-        chain_cfg.seed = base_seed.wrapping_add(c as u64);
-        let mut rng = StdRng::seed_from_u64(chain_cfg.seed);
-        let init = make_init(&mut rng);
-        check(&init)?;
-        let start = Instant::now();
-        let mut target = make_target();
-        let result = nuts_sample_mut(&mut target, init, &chain_cfg);
-        Ok((result, start.elapsed().as_secs_f64()))
-    };
-    if chains <= 1 {
-        return Ok(vec![run_one(0)?]);
-    }
-    std::thread::scope(|s| {
-        let run_one = &run_one;
-        let handles: Vec<_> = (0..chains).map(|c| s.spawn(move || run_one(c))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("NUTS chain thread panicked"))
-            .collect()
-    })
-}
-
-/// [`run_nuts_chains`], streaming: chain results are funneled through an
-/// mpsc channel to the calling thread, which invokes `on_chain` in chain
-/// *completion* order while the remaining chains keep sampling — the
-/// incremental flush point of `serve`'s streaming responses. Per-chain
-/// seeding is identical to [`run_nuts_chains`], so draws are bitwise equal.
-/// If any chain fails its init check the first error (in completion order)
-/// is returned after all chains finish.
-fn run_nuts_chains_streaming<T, F, G, C>(
-    chains: usize,
-    base_seed: u64,
-    config: &NutsConfig,
+    lockstep: bool,
     make_target: &F,
     make_init: &G,
     check: &C,
     on_chain: &mut dyn FnMut(usize, NutsResult, f64),
 ) -> Result<(), InferenceError>
 where
-    T: GradTargetMut,
+    T: GradTargetBatch,
     F: Fn() -> T + Sync,
     G: Fn(&mut StdRng) -> Vec<f64> + Sync,
     C: Fn(&[f64]) -> Result<(), gprob::RuntimeError> + Sync,
 {
-    let run_one = |c: usize| -> Result<(NutsResult, f64), InferenceError> {
+    let chain_config = |c: usize| {
         let mut chain_cfg = config.clone();
-        chain_cfg.seed = base_seed.wrapping_add(c as u64);
-        let mut rng = StdRng::seed_from_u64(chain_cfg.seed);
-        let init = make_init(&mut rng);
+        chain_cfg.seed = config.seed.wrapping_add(c as u64);
+        chain_cfg
+    };
+    let checked_init = |chain_cfg: &NutsConfig| -> Result<Vec<f64>, InferenceError> {
+        let init = make_init(&mut StdRng::seed_from_u64(chain_cfg.seed));
         check(&init)?;
+        Ok(init)
+    };
+    if lockstep {
+        let configs: Vec<NutsConfig> = (0..chains).map(chain_config).collect();
+        let inits = configs
+            .iter()
+            .map(checked_init)
+            .collect::<Result<Vec<_>, _>>()?;
         let start = Instant::now();
-        let mut target = make_target();
-        let result = nuts_sample_mut(&mut target, init, &chain_cfg);
+        let results = nuts_sample_lockstep(&mut make_target(), inits, &configs);
+        let per_chain = start.elapsed().as_secs_f64() / chains.max(1) as f64;
+        for (c, result) in results.into_iter().enumerate() {
+            on_chain(c, result, per_chain);
+        }
+        return Ok(());
+    }
+    let run_one = |c: usize| -> Result<(NutsResult, f64), InferenceError> {
+        let chain_cfg = chain_config(c);
+        let init = checked_init(&chain_cfg)?;
+        let start = Instant::now();
+        let result = nuts_sample(&mut make_target(), init, &chain_cfg);
         Ok((result, start.elapsed().as_secs_f64()))
     };
     if chains <= 1 {
@@ -1139,52 +1094,11 @@ fn lockstep_worthwhile(dim: usize, dprog: &gprob::dprog::DProg) -> bool {
     dim >= MIN_DIM && dprog.cost_estimate() >= MIN_COST
 }
 
-/// [`run_nuts_chains`] in lockstep over a single shared batched target:
-/// every round, all chains' pending leapfrog evaluations go through one
-/// `logp_grad_batch` call, which a lane-widened density program scores with
-/// one struct-of-arrays sweep per lane group. Chain `c` still seeds its
-/// starting point and sampler from `base_seed + c` and consumes its RNG in
-/// sequential order, so its draws are bitwise identical to the threaded
-/// path. Wall time cannot be attributed per chain here, so each chain
-/// reports an equal share of the batch's elapsed time.
-fn run_nuts_chains_lockstep<T, F, G, C>(
-    chains: usize,
-    base_seed: u64,
-    config: &NutsConfig,
-    make_target: &F,
-    make_init: &G,
-    check: &C,
-) -> Result<Vec<(NutsResult, f64)>, InferenceError>
-where
-    T: GradTargetBatch,
-    F: Fn() -> T,
-    G: Fn(&mut StdRng) -> Vec<f64>,
-    C: Fn(&[f64]) -> Result<(), gprob::RuntimeError>,
-{
-    let mut configs = Vec::with_capacity(chains);
-    let mut inits = Vec::with_capacity(chains);
-    for c in 0..chains {
-        let mut chain_cfg = config.clone();
-        chain_cfg.seed = base_seed.wrapping_add(c as u64);
-        let mut rng = StdRng::seed_from_u64(chain_cfg.seed);
-        let init = make_init(&mut rng);
-        check(&init)?;
-        configs.push(chain_cfg);
-        inits.push(init);
-    }
-    let start = Instant::now();
-    let mut target = make_target();
-    let results = nuts_sample_lockstep(&mut target, inits, &configs);
-    let per_chain = start.elapsed().as_secs_f64() / chains.max(1) as f64;
-    Ok(results.into_iter().map(|r| (r, per_chain)).collect())
-}
-
 /// Runs `chains` independent ADVI restarts (seeded `base_seed + c`), in
 /// parallel threads beyond the first. Each restart fits through
-/// [`advi_fit_batch`], so every optimization step's Monte-Carlo guide draws
+/// [`advi_fit`], so every optimization step's Monte-Carlo guide draws
 /// score in one batched call — one lane-widened sweep per step on compiled
-/// models, a plain per-draw loop (bitwise identical to `advi_fit_mut`)
-/// otherwise.
+/// models, a plain per-draw loop otherwise.
 fn run_advi_chains<T, F>(
     chains: usize,
     base_seed: u64,
@@ -1201,7 +1115,7 @@ where
         chain_cfg.seed = base_seed.wrapping_add(c as u64);
         let start = Instant::now();
         let mut target = make_target();
-        let result = advi_fit_batch(&mut target, dim, &chain_cfg);
+        let result = advi_fit(&mut target, dim, &chain_cfg);
         (result, start.elapsed().as_secs_f64())
     };
     if chains <= 1 {
@@ -1223,34 +1137,57 @@ fn constrain_chain(slots: &[ParamSlot], draws_u: Vec<Vec<f64>>) -> Vec<Vec<f64>>
     crate::api::constrain_draws(slots, draws_u)
 }
 
-fn collect_nuts_fit(
-    names: Vec<String>,
-    slots: &[ParamSlot],
-    runs: Vec<(NutsResult, f64)>,
-    on_chain: &mut dyn FnMut(usize, &ChainResult),
-) -> Fit {
-    let cancelled = runs.iter().any(|(result, _)| result.cancelled);
-    let chains: Vec<ChainResult> = runs
-        .into_iter()
-        .map(|(result, wall_time)| ChainResult {
-            draws: constrain_chain(slots, result.draws),
+/// Assembles a NUTS [`Fit`] from per-chain results arriving in any order:
+/// each chain's draws are constrained and handed to the observer as soon
+/// as the chain is pushed, then stored in its index slot.
+struct NutsFitCollector<'a> {
+    slots: &'a [ParamSlot],
+    on_chain: &'a mut dyn FnMut(usize, &ChainResult),
+    chains: Vec<Option<ChainResult>>,
+    cancelled: bool,
+}
+
+impl<'a> NutsFitCollector<'a> {
+    fn new(
+        chains: usize,
+        slots: &'a [ParamSlot],
+        on_chain: &'a mut dyn FnMut(usize, &ChainResult),
+    ) -> Self {
+        NutsFitCollector {
+            slots,
+            on_chain,
+            chains: (0..chains).map(|_| None).collect(),
+            cancelled: false,
+        }
+    }
+
+    fn push(&mut self, c: usize, result: NutsResult, wall_time: f64) {
+        self.cancelled |= result.cancelled;
+        let chain = ChainResult {
+            draws: constrain_chain(self.slots, result.draws),
             divergences: result.divergences,
             wall_time,
             n_grad_evals: result.n_grad_evals,
-        })
-        .collect();
-    for (c, chain) in chains.iter().enumerate() {
-        on_chain(c, chain);
+        };
+        (self.on_chain)(c, &chain);
+        self.chains[c] = Some(chain);
     }
-    Fit {
-        method: FitMethod::Nuts,
-        names,
-        chains,
-        wall_time: 0.0,
-        variational: None,
-        weights: None,
-        gq: None,
-        cancelled,
+
+    fn finish(self, names: Vec<String>) -> Fit {
+        Fit {
+            method: FitMethod::Nuts,
+            names,
+            chains: self
+                .chains
+                .into_iter()
+                .map(|r| r.expect("every chain reported a result"))
+                .collect(),
+            wall_time: 0.0,
+            variational: None,
+            weights: None,
+            gq: None,
+            cancelled: self.cancelled,
+        }
     }
 }
 

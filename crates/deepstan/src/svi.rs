@@ -17,7 +17,7 @@ use gprob::eval::EvalCtx;
 use gprob::interp::{Interp, Mode};
 use gprob::value::{lift_env, Env, Value};
 use inference::cancel::CancelToken;
-use inference::svi::{svi_optimize_draws_cancellable, AdamConfig};
+use inference::svi::{svi_optimize, AdamConfig};
 use minidiff::{grad, tape, Var};
 use probdist::Constraint;
 use rand::rngs::StdRng;
@@ -186,7 +186,7 @@ impl CompiledProgram {
         let specs: Vec<MlpSpec> = networks.to_vec();
         let guide_params_meta = program.guide_params.clone();
 
-        let objective = |phi: &[f64], rng: &mut StdRng| -> (f64, Vec<f64>) {
+        let mut objective = |phi: &[f64], rng: &mut StdRng| -> (f64, Vec<f64>) {
             tape::reset();
             let vars: Vec<Var> = phi.iter().map(|&x| Var::new(x)).collect();
 
@@ -241,14 +241,10 @@ impl CompiledProgram {
             (elbo.value(), g)
         };
 
-        let mut multi_draw = |phi: &[f64], _draws: usize, rng: &mut StdRng| -> (f64, Vec<f64>) {
-            objective(phi, rng)
-        };
-        let result = svi_optimize_draws_cancellable(
-            &mut multi_draw,
+        let result = svi_optimize(
+            &mut objective,
             init,
             settings.steps,
-            1,
             AdamConfig {
                 lr: settings.lr,
                 ..Default::default()

@@ -661,16 +661,20 @@ impl GModel {
     /// `thetas` (point `i` at `thetas[i·dim .. (i+1)·dim]`), writing
     /// gradients row-major into `grads`.
     ///
-    /// Models with a compiled density program evaluate the whole batch in
-    /// lane groups through [`crate::dprog::DProg::value_and_grad_lanes`] —
-    /// one forward and one reverse sweep per group of up to 8 points.
-    /// Declined models loop the single-point tape path, so the batched entry
-    /// is safe to call unconditionally; each point's result is bitwise what
-    /// a single-point call would produce either way.
+    /// Models with a compiled density program evaluate the batch in lane
+    /// groups through [`crate::dprog::DProg::value_and_grad_lanes`] — one
+    /// forward and one reverse sweep per group of up to 8 points. An odd
+    /// last point fits no lane group; it goes through the routed
+    /// single-point [`GModel::log_density_and_grad_with`], so it runs the
+    /// emitted native code when the model has it. That point is the whole
+    /// batch once all lockstep chains but one have finished. Declined models
+    /// loop the single-point tape path, so the batched entry is safe to call
+    /// unconditionally; each point's result is bitwise what a single-point
+    /// call would produce either way.
     ///
     /// # Errors
-    /// Propagates runtime evaluation errors (on the declined path the first
-    /// failing point aborts the batch, matching the sequential loop).
+    /// Propagates runtime evaluation errors (the first failing point aborts
+    /// the batch, matching the sequential loop).
     ///
     /// # Panics
     /// Panics if `grads` is shorter than `thetas`.
@@ -681,9 +685,6 @@ impl GModel {
         values: &mut [f64],
         grads: &mut [f64],
     ) -> Result<(), RuntimeError> {
-        if let (Some(dp), Some(dpws)) = (&self.dprog, &mut ws.inner.dprog) {
-            return dp.value_and_grad_lanes(thetas, values, grads, dpws);
-        }
         let d = self.dim;
         let n = values.len();
         if thetas.len() != n * d {
@@ -692,6 +693,23 @@ impl GModel {
                 n * d,
                 thetas.len()
             )));
+        }
+        if let (Some(dp), Some(dpws)) = (&self.dprog, &mut ws.inner.dprog) {
+            let paired = n & !1;
+            dp.value_and_grad_lanes(
+                &thetas[..paired * d],
+                &mut values[..paired],
+                &mut grads[..paired * d],
+                dpws,
+            )?;
+            if paired < n {
+                values[paired] = self.log_density_and_grad_with(
+                    ws,
+                    &thetas[paired * d..],
+                    &mut grads[paired * d..n * d],
+                )?;
+            }
+            return Ok(());
         }
         for (i, v) in values.iter_mut().enumerate() {
             *v = self.log_density_and_grad_tape_with(

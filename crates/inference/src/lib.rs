@@ -7,8 +7,6 @@
 //!   step-size adaptation and diagonal mass-matrix estimation), Stan's and
 //!   Pyro's preferred inference method and the one used for every accuracy /
 //!   speed comparison in the paper's evaluation.
-//! * [`hmc`] — plain fixed-length Hamiltonian Monte Carlo, kept as a simpler
-//!   baseline and for tests.
 //! * [`advi`] — automatic differentiation variational inference with a
 //!   mean-field Gaussian family (the `Stan ADVI` baseline of Figure 10).
 //! * [`svi`] — stochastic variational inference utilities (the Adam optimizer
@@ -36,21 +34,22 @@
 //! convergence is assessed with [`diagnostics::multi_split_rhat`] /
 //! [`diagnostics::multi_ess`].
 //!
-//! Because every sampler goes through `GradTargetMut`, NUTS, HMC and ADVI
-//! all pick up the tape-free density programs (`gprob::dprog`) transparently:
+//! Because every sampler goes through `GradTargetMut`, NUTS and ADVI both
+//! pick up the tape-free density programs (`gprob::dprog`) transparently:
 //! a `gprob`-backed target routes `logp_grad_into` to the compiled register
 //! program when the model's density lowered at bind time, and to the
 //! recorded-tape interpreter when it declined. Nothing in this crate needs
 //! to know which backend ran.
 //!
-//! Multi-point work additionally flows through [`target::GradTargetBatch`]:
-//! [`nuts::nuts_sample_lockstep`] and [`hmc::hmc_sample_lockstep`] advance
-//! all chains together and batch their pending leapfrog evaluations into one
-//! call per round, and [`advi::advi_fit_batch`] scores each step's
-//! Monte-Carlo guide draws in one pass — which is how lane-widened
-//! struct-of-arrays density programs evaluate several chains per sweep. All
-//! three are bitwise identical per chain/fit to their sequential
-//! counterparts.
+//! NUTS is one engine with two drivers. The engine is a per-chain state
+//! machine that parks on every gradient evaluation it needs;
+//! [`nuts::nuts_sample`] answers one chain's points one at a time, and
+//! [`nuts::nuts_sample_lockstep`] advances all chains together, batching
+//! their pending leapfrog evaluations into one [`target::GradTargetBatch`]
+//! call per round. Each chain's draws are bitwise identical under either
+//! driver. [`advi::advi_fit`] likewise scores each step's Monte-Carlo guide
+//! draws in one batch — which is how lane-widened struct-of-arrays density
+//! programs evaluate several chains or draws per sweep.
 //!
 //! # Example
 //!
@@ -59,7 +58,7 @@
 //! // Standard normal target.
 //! let target = |theta: &[f64]| (-0.5 * theta[0] * theta[0], vec![-theta[0]]);
 //! let cfg = NutsConfig { warmup: 200, samples: 400, seed: 7, ..Default::default() };
-//! let result = nuts_sample(&target, vec![0.5], &cfg);
+//! let result = nuts_sample(&mut &target, vec![0.5], &cfg);
 //! let mean: f64 = result.draws.iter().map(|d| d[0]).sum::<f64>() / result.draws.len() as f64;
 //! assert!(mean.abs() < 0.3);
 //! ```
@@ -67,7 +66,6 @@
 pub mod advi;
 pub mod cancel;
 pub mod diagnostics;
-pub mod hmc;
 pub mod importance;
 pub mod loo;
 pub mod nuts;
@@ -75,16 +73,22 @@ pub mod predictive;
 pub mod svi;
 pub mod target;
 
-pub use advi::{advi_fit, advi_fit_batch, advi_fit_mut, AdviConfig, AdviResult};
+pub use advi::{advi_fit, AdviConfig, AdviResult};
 pub use cancel::CancelToken;
 pub use diagnostics::{
     accuracy_pass, ess, multi_ess, multi_split_rhat, split_rhat, summarize, Summary,
 };
-pub use hmc::{hmc_sample, hmc_sample_lockstep, hmc_sample_mut, HmcConfig, HmcResult};
 pub use loo::{loo_compare, psis_loo, waic, CompareRow, ElpdEstimate};
-pub use nuts::{nuts_sample, nuts_sample_lockstep, nuts_sample_mut, NutsConfig, NutsResult};
+pub use nuts::{nuts_sample, nuts_sample_lockstep, NutsConfig, NutsResult};
 pub use predictive::{draw_seed, stream_chains, GqTable, StreamError};
-pub use svi::{
-    svi_optimize, svi_optimize_draws, svi_optimize_draws_cancellable, Adam, AdamConfig, SviResult,
-};
+pub use svi::{svi_optimize, Adam, AdamConfig, SviResult};
 pub use target::{GradTarget, GradTargetBatch, GradTargetMut};
+
+/// Standard normal draw via the Box–Muller transform — the one noise
+/// source of NUTS momenta and ADVI's reparameterized draws.
+pub(crate) fn standard_normal(rng: &mut rand::rngs::StdRng) -> f64 {
+    use rand::Rng;
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen::<f64>();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}

@@ -5,20 +5,23 @@
 //! algorithm Stan, Pyro and NumPyro all use as their default and the one the
 //! paper's evaluation runs on every backend.
 //!
-//! Two drivers share the algorithm: [`nuts_sample_mut`] runs one chain to
-//! completion (one target instance per chain, shardable over threads), and
-//! [`nuts_sample_lockstep`] advances C chains as explicit state machines,
-//! batching every chain's pending leapfrog evaluation into one
+//! One engine implements the algorithm: a per-chain state machine that
+//! parks on each gradient evaluation it needs and resumes when the answer
+//! arrives. Two drivers feed it: [`nuts_sample`] answers one chain's
+//! pending points one at a time through [`GradTargetMut::logp_grad_into`]
+//! (one target instance per chain, shardable over threads), and
+//! [`nuts_sample_lockstep`] gathers C chains' pending points into one
 //! [`GradTargetBatch::logp_grad_batch`] call so lane-widened density
-//! programs score all chains per sweep. Chain c of a lockstep run consumes
-//! its RNG in exactly the order of a sequential [`nuts_sample_mut`] run with
-//! the same config, so the per-chain results are bitwise identical.
+//! programs score all chains per sweep. A chain's RNG stream and arithmetic
+//! do not depend on the driver, so chain c of a lockstep run is bitwise
+//! identical to [`nuts_sample`] with the same config.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cancel::CancelToken;
-use crate::target::{GradTarget, GradTargetBatch, GradTargetMut};
+use crate::standard_normal;
+use crate::target::{GradTargetBatch, GradTargetMut};
 
 /// NUTS configuration.
 #[derive(Debug, Clone)]
@@ -35,11 +38,14 @@ pub struct NutsConfig {
     pub init_step_size: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Cooperative cancellation, polled once per iteration (never inside a
-    /// gradient evaluation). The default token never cancels. A chain that
-    /// observes cancellation stops before its next iteration, so the draws
-    /// it has already produced are the bitwise prefix of an uncancelled
-    /// same-seed run.
+    /// Cooperative cancellation, polled by the chain state machine at the
+    /// top of every iteration (never inside a gradient evaluation or a
+    /// tree). The default token never cancels. A chain that observes
+    /// cancellation stops before its next iteration, so the draws it has
+    /// already produced are the bitwise prefix of an uncancelled same-seed
+    /// run, whichever driver ran it. [`nuts_sample`] returns when its chain
+    /// stops; [`nuts_sample_lockstep`] returns when every chain has stopped,
+    /// each at its own next iteration boundary.
     pub cancel: CancelToken,
 }
 
@@ -169,300 +175,27 @@ impl DualAveraging {
     }
 }
 
-/// Runs NUTS on a [`GradTarget`] — any model exposing `(log p, ∇ log p)` on
-/// the unconstrained scale. Stateful targets (e.g. workspace-backed models)
-/// should use [`nuts_sample_mut`], which this function delegates to.
+/// Runs one NUTS chain on a [`GradTargetMut`]. Constrained models should
+/// wrap their density with the appropriate transform (as `gprob::GModel`
+/// does); plain closures returning `(log p, ∇ log p)` work through the
+/// `&closure` adapter (`nuts_sample(&mut &target, ..)`).
 ///
-/// Constrained models should wrap their density with the appropriate
-/// transform (as `gprob::GModel` does).
-pub fn nuts_sample<T: GradTarget + ?Sized>(
-    target: &T,
-    init: Vec<f64>,
-    config: &NutsConfig,
-) -> NutsResult {
-    let mut adapter = target;
-    nuts_sample_mut(&mut adapter, init, config)
-}
-
-/// Evaluates the target with NaN-to-`-inf` sanitization, counting gradient
-/// evaluations. The gradient lands in `grad` (zeroed on a NaN density).
-fn eval_target<T: GradTargetMut + ?Sized>(
-    target: &mut T,
-    q: &[f64],
-    grad: &mut [f64],
-    count: &mut usize,
-) -> f64 {
-    *count += 1;
-    let lp = target.logp_grad_into(q, grad);
-    if lp.is_nan() {
-        grad.fill(0.0);
-        f64::NEG_INFINITY
-    } else {
-        lp
-    }
-}
-
-/// Runs NUTS on a [`GradTargetMut`] — the buffer-reusing interface. Every
-/// gradient evaluation writes into pre-allocated buffers, so a
-/// workspace-backed target makes the whole chain allocation-free outside the
-/// model evaluation itself. One target instance is one chain.
-pub fn nuts_sample_mut<T: GradTargetMut + ?Sized>(
+/// This is the chain state machine of [`nuts_sample_lockstep`] at width 1:
+/// every pending point goes through [`GradTargetMut::logp_grad_into`], so a
+/// workspace-backed target keeps its routed single-point gradient (native
+/// code when the model has it) and evaluates without per-step allocation.
+pub fn nuts_sample<T: GradTargetMut + ?Sized>(
     target: &mut T,
     init: Vec<f64>,
     config: &NutsConfig,
 ) -> NutsResult {
-    let dim = init.len();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut n_grad_evals = 0usize;
-
-    let mut q = init;
-    let mut grad = vec![0.0; dim];
-    let mut logp = eval_target(target, &q, &mut grad, &mut n_grad_evals);
-
-    // Diagonal inverse mass matrix (variances of q), estimated during warmup.
-    let mut inv_mass = vec![1.0; dim];
-    let mut welford_mean = vec![0.0; dim];
-    let mut welford_m2 = vec![0.0; dim];
-    let mut welford_n = 0usize;
-
-    let mut da = DualAveraging::new(find_initial_step_size(
-        target,
-        &q,
-        logp,
-        &grad,
-        config.init_step_size,
-        &inv_mass,
-        &mut rng,
-        &mut n_grad_evals,
-    ));
-
-    let total = config.warmup + config.samples;
-    let mut draws = Vec::with_capacity(config.samples);
-    let mut telemetry = ChainTelemetry::new();
-    let mut divergences = 0usize;
-    let mut accept_sum = 0.0;
-    let mut accept_count = 0usize;
-    let mut step_size = da.current();
-    let mut cancelled = false;
-
-    for iter in 0..total {
-        if config.cancel.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        let warming_up = iter < config.warmup;
-
-        // Sample momentum p ~ N(0, M) where M = diag(1 / inv_mass).
-        let p: Vec<f64> = (0..dim)
-            .map(|i| standard_normal(&mut rng) / inv_mass[i].sqrt())
-            .collect();
-
-        let joint0 = logp - kinetic(&p, &inv_mass);
-
-        // Multinomial NUTS tree doubling.
-        let mut state_minus = State {
-            q: q.clone(),
-            p: p.clone(),
-            logp,
-            grad: grad.clone(),
-        };
-        let mut state_plus = State {
-            q: q.clone(),
-            p,
-            logp,
-            grad: grad.clone(),
-        };
-        let mut q_new = q.clone();
-        let mut logp_new = logp;
-        let mut grad_new = grad.clone();
-        let mut log_sum_weight = 0.0f64; // log weight of the initial point
-        let mut sum_accept = 0.0;
-        let mut n_leapfrog = 0usize;
-        let mut diverged = false;
-        let mut depth_entered = 0usize;
-
-        for depth in 0..config.max_depth {
-            depth_entered = depth + 1;
-            let go_right = rng.gen::<bool>();
-            let mut log_sum_weight_subtree = f64::NEG_INFINITY;
-            let mut q_prop = q_new.clone();
-            let mut logp_prop = logp_new;
-            let mut grad_prop = grad_new.clone();
-
-            let ok = {
-                let edge = if go_right {
-                    &mut state_plus
-                } else {
-                    &mut state_minus
-                };
-                build_tree(
-                    target,
-                    edge,
-                    go_right,
-                    depth,
-                    step_size,
-                    joint0,
-                    &inv_mass,
-                    &mut log_sum_weight_subtree,
-                    &mut q_prop,
-                    &mut logp_prop,
-                    &mut grad_prop,
-                    &mut sum_accept,
-                    &mut n_leapfrog,
-                    &mut rng,
-                    &mut n_grad_evals,
-                )
-            };
-
-            if !ok {
-                diverged = true;
-                break;
-            }
-
-            // Multinomial sampling across the subtree.
-            if log_sum_weight_subtree > log_sum_weight {
-                q_new = q_prop;
-                logp_new = logp_prop;
-                grad_new = grad_prop;
-            } else {
-                let accept_prob = (log_sum_weight_subtree - log_sum_weight).exp();
-                if rng.gen::<f64>() < accept_prob {
-                    q_new = q_prop;
-                    logp_new = logp_prop;
-                    grad_new = grad_prop;
-                }
-            }
-            log_sum_weight = log_add_exp(log_sum_weight, log_sum_weight_subtree);
-
-            // U-turn criterion across the whole trajectory.
-            if uturn(&state_minus, &state_plus, &inv_mass) {
-                break;
-            }
-        }
-
-        q = q_new;
-        logp = logp_new;
-        grad = grad_new;
-        telemetry.record_iteration(depth_entered, n_leapfrog);
-
-        let accept_stat = if n_leapfrog > 0 {
-            sum_accept / n_leapfrog as f64
-        } else {
-            0.0
-        };
-
-        if warming_up {
-            da.update(accept_stat, config.target_accept);
-            step_size = da.current();
-            // Collect draws for the mass matrix during the middle window.
-            if iter > config.warmup / 4 && iter < 3 * config.warmup / 4 {
-                welford_n += 1;
-                for i in 0..dim {
-                    let delta = q[i] - welford_mean[i];
-                    welford_mean[i] += delta / welford_n as f64;
-                    welford_m2[i] += delta * (q[i] - welford_mean[i]);
-                }
-            }
-            if iter == 3 * config.warmup / 4 && welford_n > 4 {
-                for i in 0..dim {
-                    let var = welford_m2[i] / (welford_n - 1) as f64;
-                    inv_mass[i] = var.max(1e-10);
-                }
-                // Re-initialize step-size adaptation for the new metric.
-                da = DualAveraging::new(step_size);
-            }
-            if iter + 1 == config.warmup {
-                // Freeze the step size at its dual-averaged value for sampling.
-                step_size = da.adapted().max(1e-8);
-            }
-        } else {
-            if diverged {
-                divergences += 1;
-            }
-            accept_sum += accept_stat;
-            accept_count += 1;
-            draws.push(q.clone());
-        }
+    let mut grad = vec![0.0; init.len()];
+    let mut chain = Chain::new(init, config.clone());
+    while !chain.done {
+        let lp = target.logp_grad_into(&chain.pending_q, &mut grad);
+        chain.on_reply(lp, &grad);
     }
-
-    telemetry.flush(divergences, step_size);
-    NutsResult {
-        draws,
-        divergences,
-        step_size,
-        mean_accept: if accept_count > 0 {
-            accept_sum / accept_count as f64
-        } else {
-            0.0
-        },
-        n_grad_evals,
-        cancelled,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_tree<T: GradTargetMut + ?Sized>(
-    target: &mut T,
-    edge: &mut State,
-    go_right: bool,
-    depth: usize,
-    step_size: f64,
-    joint0: f64,
-    inv_mass: &[f64],
-    log_sum_weight: &mut f64,
-    q_prop: &mut [f64],
-    logp_prop: &mut f64,
-    grad_prop: &mut [f64],
-    sum_accept: &mut f64,
-    n_leapfrog: &mut usize,
-    rng: &mut StdRng,
-    n_grad_evals: &mut usize,
-) -> bool {
-    let n_steps = 1usize << depth;
-    let dir = if go_right { 1.0 } else { -1.0 };
-    let mut n_kept = 0.0f64;
-    for _ in 0..n_steps {
-        leapfrog(target, edge, dir * step_size, inv_mass, n_grad_evals);
-        *n_leapfrog += 1;
-        let joint = edge.logp - kinetic(&edge.p, inv_mass);
-        let delta = joint - joint0;
-        if delta < -1000.0 || !joint.is_finite() {
-            return false; // divergence
-        }
-        *sum_accept += delta.min(0.0).exp();
-        // Multinomial weight of this point.
-        *log_sum_weight = log_add_exp(*log_sum_weight, delta);
-        n_kept += 1.0;
-        // Progressive sampling within the new subtree: select this point with
-        // probability proportional to its weight among new points.
-        if rng.gen::<f64>() < (delta - *log_sum_weight).exp() * n_kept.max(1.0) / n_kept {
-            q_prop.copy_from_slice(&edge.q);
-            *logp_prop = edge.logp;
-            grad_prop.copy_from_slice(&edge.grad);
-        }
-    }
-    true
-}
-
-fn leapfrog<T: GradTargetMut + ?Sized>(
-    target: &mut T,
-    s: &mut State,
-    eps: f64,
-    inv_mass: &[f64],
-    n_grad_evals: &mut usize,
-) {
-    for (p, g) in s.p.iter_mut().zip(&s.grad) {
-        *p += 0.5 * eps * g;
-    }
-    for ((q, im), p) in s.q.iter_mut().zip(inv_mass).zip(&s.p) {
-        *q += eps * im * p;
-    }
-    *n_grad_evals += 1;
-    let lp = target.logp_grad_into(&s.q, &mut s.grad);
-    s.logp = if lp.is_nan() { f64::NEG_INFINITY } else { lp };
-    for (p, g) in s.p.iter_mut().zip(&s.grad) {
-        *p += 0.5 * eps * g;
-    }
+    chain.finish()
 }
 
 fn kinetic(p: &[f64], inv_mass: &[f64]) -> f64 {
@@ -474,77 +207,13 @@ fn kinetic(p: &[f64], inv_mass: &[f64]) -> f64 {
 }
 
 fn uturn(minus: &State, plus: &State, inv_mass: &[f64]) -> bool {
-    let dq: Vec<f64> = plus.q.iter().zip(&minus.q).map(|(a, b)| a - b).collect();
-    let forward: f64 = dq
-        .iter()
-        .zip(&plus.p)
-        .zip(inv_mass)
-        .map(|((d, p), im)| d * p * im)
-        .sum();
-    let backward: f64 = dq
-        .iter()
-        .zip(&minus.p)
-        .zip(inv_mass)
-        .map(|((d, p), im)| d * p * im)
-        .sum();
+    let (mut forward, mut backward) = (0.0, 0.0);
+    for (i, im) in inv_mass.iter().enumerate() {
+        let d = plus.q[i] - minus.q[i];
+        forward += d * plus.p[i] * im;
+        backward += d * minus.p[i] * im;
+    }
     forward < 0.0 || backward < 0.0
-}
-
-#[allow(clippy::too_many_arguments)]
-fn find_initial_step_size<T: GradTargetMut + ?Sized>(
-    target: &mut T,
-    q: &[f64],
-    logp: f64,
-    grad: &[f64],
-    init: f64,
-    inv_mass: &[f64],
-    rng: &mut StdRng,
-    n_grad_evals: &mut usize,
-) -> f64 {
-    // Heuristic from Hoffman & Gelman: double / halve the step size until the
-    // acceptance probability of one leapfrog step crosses 0.5.
-    let mut eps = init;
-    let p: Vec<f64> = (0..q.len())
-        .map(|i| standard_normal(rng) / inv_mass[i].sqrt())
-        .collect();
-    let joint0 = logp - kinetic(&p, inv_mass);
-    let mut state = State {
-        q: q.to_vec(),
-        p,
-        logp,
-        grad: grad.to_vec(),
-    };
-    leapfrog(target, &mut state, eps, inv_mass, n_grad_evals);
-    let joint = state.logp - kinetic(&state.p, inv_mass);
-    let mut delta = joint - joint0;
-    if !delta.is_finite() {
-        return (init * 0.1).max(1e-6);
-    }
-    let direction: f64 = if delta > (-0.693) { 1.0 } else { -1.0 };
-    for _ in 0..50 {
-        eps *= 2f64.powf(direction);
-        let p: Vec<f64> = (0..q.len())
-            .map(|i| standard_normal(rng) / inv_mass[i].sqrt())
-            .collect();
-        let joint0 = logp - kinetic(&p, inv_mass);
-        let mut state = State {
-            q: q.to_vec(),
-            p,
-            logp,
-            grad: grad.to_vec(),
-        };
-        leapfrog(target, &mut state, eps, inv_mass, n_grad_evals);
-        let joint = state.logp - kinetic(&state.p, inv_mass);
-        delta = joint - joint0;
-        if !delta.is_finite() {
-            eps *= 0.5;
-            break;
-        }
-        if (direction > 0.0 && delta < -0.693) || (direction < 0.0 && delta > -0.693) {
-            break;
-        }
-    }
-    eps.clamp(1e-8, 10.0)
 }
 
 fn log_add_exp(a: f64, b: f64) -> f64 {
@@ -558,12 +227,6 @@ fn log_add_exp(a: f64, b: f64) -> f64 {
     m + ((a - m).exp() + (b - m).exp()).ln()
 }
 
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 /// Runs `inits.len()` NUTS chains in *lockstep* over one shared
 /// [`GradTargetBatch`]: each chain is an explicit state machine that parks on
 /// its next gradient evaluation, and every round the driver gathers all
@@ -573,11 +236,11 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
 /// forward/reverse sweep per lane group instead of one interpreter walk per
 /// chain.
 ///
-/// Chain `c` consumes its private RNG (`configs[c].seed`) in exactly the
-/// order [`nuts_sample_mut`] would, so each result is bitwise identical to a
-/// sequential run of that chain. Chains may differ in warmup length, depth,
-/// or seed; a chain that finishes early simply drops out of subsequent
-/// batches.
+/// Chain `c` runs the same state machine on its private RNG
+/// (`configs[c].seed`) as [`nuts_sample`] does, so each result is bitwise
+/// identical to a single-chain run. Chains may differ in warmup length,
+/// depth, or seed; a chain that finishes (or observes cancellation) early
+/// simply drops out of subsequent batches.
 ///
 /// Panics when `inits` and `configs` differ in length or the initial points
 /// differ in dimension (the batch layout is row-major with one shared `dim`).
@@ -601,10 +264,10 @@ pub fn nuts_sample_lockstep<T: GradTargetBatch + ?Sized>(
         "all chains must share one dimension"
     );
 
-    let mut chains: Vec<LockstepChain> = inits
+    let mut chains: Vec<Chain> = inits
         .into_iter()
         .zip(configs)
-        .map(|(init, cfg)| LockstepChain::new(init, cfg.clone()))
+        .map(|(init, cfg)| Chain::new(init, cfg.clone()))
         .collect();
 
     let mut qs: Vec<f64> = Vec::with_capacity(n * dim);
@@ -614,15 +277,7 @@ pub fn nuts_sample_lockstep<T: GradTargetBatch + ?Sized>(
     loop {
         qs.clear();
         active.clear();
-        for (c, chain) in chains.iter_mut().enumerate() {
-            // Cooperative cancellation, observed once per round at an
-            // iteration-safe point: a cancelled chain keeps only fully
-            // completed iterations, so its draws stay a bitwise prefix of
-            // the uncancelled run.
-            if !chain.done && chain.cfg.cancel.is_cancelled() {
-                chain.cancelled = true;
-                chain.done = true;
-            }
+        for (c, chain) in chains.iter().enumerate() {
             if !chain.done {
                 active.push(c);
                 qs.extend_from_slice(&chain.pending_q);
@@ -637,29 +292,30 @@ pub fn nuts_sample_lockstep<T: GradTargetBatch + ?Sized>(
             chains[c].on_reply(logps[slot], &grads[slot * dim..(slot + 1) * dim]);
         }
     }
-    chains.into_iter().map(LockstepChain::finish).collect()
+    chains.into_iter().map(Chain::finish).collect()
 }
 
-/// Where a lockstep chain is parked while it waits for its pending gradient
+/// Where a chain is parked while it waits for its pending gradient
 /// evaluation. Every non-`Idle` variant owes the chain exactly one reply for
-/// the point currently in `LockstepChain::pending_q`.
+/// the point currently in `Chain::pending_q`.
 enum Phase {
     /// Transient placeholder while a reply is being applied.
     Idle,
     /// Waiting on the initial density evaluation at the chain's init point.
     Init,
-    /// Inside `find_initial_step_size`'s doubling/halving probe loop.
+    /// Inside the initial step-size heuristic's doubling/halving probe loop.
     FindStep(FindStep),
     /// Inside one iteration's tree doubling, mid-subtree.
     Tree(Box<TreeWalk>),
 }
 
-/// Suspended state of the `find_initial_step_size` heuristic.
+/// Suspended state of the initial step-size heuristic (Hoffman & Gelman
+/// 2014): double or halve the step size until the acceptance probability
+/// of one leapfrog step crosses 0.5.
 struct FindStep {
     eps: f64,
     direction: f64,
-    /// Probes issued after the first trial step (the sequential loop runs at
-    /// most 50 of them).
+    /// Probes issued after the first trial step (at most 50).
     attempts: usize,
     /// True until the pre-loop trial step's reply has been handled.
     first: bool,
@@ -667,9 +323,9 @@ struct FindStep {
     state: State,
 }
 
-/// Suspended state of one NUTS iteration's tree doubling: the per-iteration
-/// locals of [`nuts_sample_mut`]'s depth loop plus `build_tree`'s position
-/// within the current subtree.
+/// Suspended state of one NUTS iteration's multinomial tree doubling: the
+/// trajectory's two edges and current proposal, plus the position within
+/// the subtree being built (`step_i` of `n_steps` leapfrogs at `depth`).
 struct TreeWalk {
     joint0: f64,
     state_minus: State,
@@ -691,12 +347,42 @@ struct TreeWalk {
     n_kept: f64,
 }
 
-/// One chain of [`nuts_sample_lockstep`], advanced one gradient reply at a
-/// time. The fields mirror [`nuts_sample_mut`]'s locals one-for-one; the
-/// control flow is the same algorithm with every `leapfrog` call split into a
-/// position half-step (publishing `pending_q`) and a momentum half-step
-/// (applied when the batched evaluation answers).
-struct LockstepChain {
+impl TreeWalk {
+    fn new(dim: usize) -> Self {
+        let state = || State {
+            q: vec![0.0; dim],
+            p: vec![0.0; dim],
+            logp: 0.0,
+            grad: vec![0.0; dim],
+        };
+        TreeWalk {
+            joint0: 0.0,
+            state_minus: state(),
+            state_plus: state(),
+            q_new: vec![0.0; dim],
+            logp_new: 0.0,
+            grad_new: vec![0.0; dim],
+            log_sum_weight: 0.0,
+            sum_accept: 0.0,
+            n_leapfrog: 0,
+            depth: 0,
+            go_right: false,
+            log_sum_weight_subtree: f64::NEG_INFINITY,
+            q_prop: vec![0.0; dim],
+            logp_prop: 0.0,
+            grad_prop: vec![0.0; dim],
+            n_steps: 0,
+            step_i: 0,
+            n_kept: 0.0,
+        }
+    }
+}
+
+/// One NUTS chain as a state machine, advanced one gradient reply at a
+/// time by either driver. Every leapfrog step is split into a position
+/// half-step (publishing `pending_q`) and a momentum half-step (applied
+/// when the driver answers with that point's density and gradient).
+struct Chain {
     cfg: NutsConfig,
     rng: StdRng,
     dim: usize,
@@ -717,6 +403,9 @@ struct LockstepChain {
     iter: usize,
     telemetry: ChainTelemetry,
     phase: Phase,
+    /// The last finished iteration's tree walk, kept so the next iteration
+    /// reuses its buffers instead of allocating.
+    spare_walk: Option<Box<TreeWalk>>,
     /// The point whose `(log p, ∇ log p)` the chain is waiting on; gathered
     /// by the driver whenever `done` is false.
     pending_q: Vec<f64>,
@@ -724,14 +413,14 @@ struct LockstepChain {
     cancelled: bool,
 }
 
-impl LockstepChain {
+impl Chain {
     fn new(init: Vec<f64>, cfg: NutsConfig) -> Self {
         let dim = init.len();
         let rng = StdRng::seed_from_u64(cfg.seed);
         let pending_q = init.clone();
         let da = DualAveraging::new(cfg.init_step_size);
         let step_size = cfg.init_step_size;
-        LockstepChain {
+        Chain {
             cfg,
             rng,
             dim,
@@ -752,21 +441,22 @@ impl LockstepChain {
             iter: 0,
             telemetry: ChainTelemetry::new(),
             phase: Phase::Init,
+            spare_walk: None,
             pending_q,
             done: false,
             cancelled: false,
         }
     }
 
-    /// Applies one batched evaluation's answer for this chain's pending point
+    /// Applies the driver's answer for this chain's pending point
     /// and advances the state machine until it either parks on the next
     /// pending evaluation or finishes the chain.
     fn on_reply(&mut self, lp: f64, grad_in: &[f64]) {
         self.n_grad_evals += 1;
         match std::mem::replace(&mut self.phase, Phase::Idle) {
-            Phase::Idle => unreachable!("lockstep chain got a reply with no pending evaluation"),
+            Phase::Idle => unreachable!("NUTS chain got a reply with no pending evaluation"),
             Phase::Init => {
-                // Mirror `eval_target`: a NaN density becomes -inf with a
+                // A NaN density at the init point becomes -inf with a
                 // zeroed gradient.
                 if lp.is_nan() {
                     self.logp = f64::NEG_INFINITY;
@@ -790,7 +480,7 @@ impl LockstepChain {
         p
     }
 
-    /// First half of `leapfrog`: momentum half-step off the stored gradient,
+    /// First half of a leapfrog step: momentum half-step off the stored gradient,
     /// full position step, and publication of the new position as this
     /// chain's pending evaluation.
     fn leapfrog_begin(&mut self, s: &mut State, eps: f64) {
@@ -831,7 +521,8 @@ impl LockstepChain {
         let delta = joint - fs.joint0;
         if fs.first {
             if !delta.is_finite() {
-                // Unclamped early return, as in the sequential heuristic.
+                // Unclamped: a non-finite first probe falls back to a tenth
+                // of the configured initial step.
                 self.finish_find_step((self.cfg.init_step_size * 0.1).max(1e-6));
                 return;
             }
@@ -880,10 +571,20 @@ impl LockstepChain {
     /// out of iterations. The loop (rather than recursion) covers
     /// `max_depth == 0`, where whole iterations complete without any
     /// evaluation.
+    ///
+    /// The top of an iteration is also where the chain polls
+    /// [`NutsConfig::cancel`]: a cancelled chain keeps only fully completed
+    /// iterations, so its draws stay a bitwise prefix of the uncancelled
+    /// run under either driver.
     fn run_iterations(&mut self) {
         loop {
             let total = self.cfg.warmup + self.cfg.samples;
             if self.iter >= total {
+                self.done = true;
+                return;
+            }
+            if self.cfg.cancel.is_cancelled() {
+                self.cancelled = true;
                 self.done = true;
                 return;
             }
@@ -898,42 +599,35 @@ impl LockstepChain {
         }
     }
 
+    /// Sets up one iteration's tree walk from the chain's current point and
+    /// a fresh momentum, reusing the previous iteration's buffers.
     fn make_tree_walk(&mut self) -> Box<TreeWalk> {
-        let p = self.draw_momentum();
-        let joint0 = self.logp - kinetic(&p, &self.inv_mass);
-        Box::new(TreeWalk {
-            joint0,
-            state_minus: State {
-                q: self.q.clone(),
-                p: p.clone(),
-                logp: self.logp,
-                grad: self.grad.clone(),
-            },
-            state_plus: State {
-                q: self.q.clone(),
-                p,
-                logp: self.logp,
-                grad: self.grad.clone(),
-            },
-            q_new: self.q.clone(),
-            logp_new: self.logp,
-            grad_new: self.grad.clone(),
-            log_sum_weight: 0.0,
-            sum_accept: 0.0,
-            n_leapfrog: 0,
-            depth: 0,
-            go_right: false,
-            log_sum_weight_subtree: f64::NEG_INFINITY,
-            q_prop: self.q.clone(),
-            logp_prop: self.logp,
-            grad_prop: self.grad.clone(),
-            n_steps: 0,
-            step_i: 0,
-            n_kept: 0.0,
-        })
+        let mut tw = self
+            .spare_walk
+            .take()
+            .unwrap_or_else(|| Box::new(TreeWalk::new(self.dim)));
+        let walk = &mut *tw;
+        for (p, im) in walk.state_minus.p.iter_mut().zip(&self.inv_mass) {
+            *p = standard_normal(&mut self.rng) / im.sqrt();
+        }
+        walk.joint0 = self.logp - kinetic(&walk.state_minus.p, &self.inv_mass);
+        walk.state_plus.p.copy_from_slice(&walk.state_minus.p);
+        for edge in [&mut walk.state_minus, &mut walk.state_plus] {
+            edge.q.copy_from_slice(&self.q);
+            edge.logp = self.logp;
+            edge.grad.copy_from_slice(&self.grad);
+        }
+        walk.q_new.copy_from_slice(&self.q);
+        walk.logp_new = self.logp;
+        walk.grad_new.copy_from_slice(&self.grad);
+        walk.log_sum_weight = 0.0;
+        walk.sum_accept = 0.0;
+        walk.n_leapfrog = 0;
+        walk.depth = 0;
+        tw
     }
 
-    /// Per-depth setup at the top of the sequential depth loop.
+    /// Per-depth setup before each tree doubling.
     fn init_subtree(&mut self, tw: &mut TreeWalk) {
         tw.go_right = self.rng.gen::<bool>();
         tw.log_sum_weight_subtree = f64::NEG_INFINITY;
@@ -979,7 +673,7 @@ impl LockstepChain {
         };
         if delta < -1000.0 || !joint.is_finite() {
             // Divergence: abandon the iteration (no progressive-sampling RNG
-            // draw for this step, as in `build_tree`'s early return).
+            // draw for this step).
             let depth_entered = tw.depth + 1;
             self.apply_iteration_end(tw, true, depth_entered);
             self.run_iterations();
@@ -1034,15 +728,14 @@ impl LockstepChain {
         self.run_iterations();
     }
 
-    /// Everything after the depth loop in [`nuts_sample_mut`]: accept the new
-    /// point, adapt during warmup, record draws after it. `depth_entered`
-    /// mirrors the sequential driver's count of tree doublings entered
-    /// this iteration (telemetry only — no effect on sampling).
-    fn apply_iteration_end(&mut self, tw: Box<TreeWalk>, diverged: bool, depth_entered: usize) {
-        let tw = *tw;
-        self.q = tw.q_new;
+    /// Everything after an iteration's tree doubling: accept the new point,
+    /// adapt during warmup, record draws after it. `depth_entered` counts
+    /// the tree doublings entered this iteration (telemetry only — no
+    /// effect on sampling).
+    fn apply_iteration_end(&mut self, mut tw: Box<TreeWalk>, diverged: bool, depth_entered: usize) {
+        std::mem::swap(&mut self.q, &mut tw.q_new);
         self.logp = tw.logp_new;
-        self.grad = tw.grad_new;
+        std::mem::swap(&mut self.grad, &mut tw.grad_new);
         self.telemetry
             .record_iteration(depth_entered, tw.n_leapfrog);
 
@@ -1082,6 +775,7 @@ impl LockstepChain {
             self.draws.push(self.q.clone());
         }
         self.iter += 1;
+        self.spare_walk = Some(tw);
     }
 
     fn finish(self) -> NutsResult {
@@ -1101,9 +795,9 @@ impl LockstepChain {
     }
 }
 
-/// Second half of `leapfrog`: install the evaluated gradient (NaN density
-/// maps to `-inf` with the gradient kept, exactly as in the sequential
-/// `leapfrog`) and finish the momentum step.
+/// Second half of a leapfrog step: install the evaluated gradient (a NaN
+/// density maps to `-inf` with the gradient kept) and finish the momentum
+/// step.
 fn leapfrog_finish(s: &mut State, eps: f64, lp: f64, grad_in: &[f64]) {
     s.grad.copy_from_slice(grad_in);
     s.logp = if lp.is_nan() { f64::NEG_INFINITY } else { lp };
@@ -1132,6 +826,7 @@ fn take_proposal(tw: &mut TreeWalk) {
 mod tests {
     use super::*;
     use crate::diagnostics::summarize;
+    use crate::target::GradTarget;
 
     fn run_standard_normal(dim: usize, seed: u64) -> Vec<Vec<f64>> {
         let target = move |q: &[f64]| {
@@ -1145,7 +840,7 @@ mod tests {
             seed,
             ..Default::default()
         };
-        nuts_sample(&target, vec![1.0; dim], &cfg).draws
+        nuts_sample(&mut &target, vec![1.0; dim], &cfg).draws
     }
 
     #[test]
@@ -1179,7 +874,7 @@ mod tests {
             seed: 2,
             ..Default::default()
         };
-        let res = nuts_sample(&target, vec![0.0, 0.0], &cfg);
+        let res = nuts_sample(&mut &target, vec![0.0, 0.0], &cfg);
         let summary = summarize(&res.draws);
         assert!((summary[0].mean - 2.0).abs() < 0.1, "{}", summary[0].mean);
         assert!((summary[1].mean + 1.0).abs() < 0.5, "{}", summary[1].mean);
@@ -1207,7 +902,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let res = nuts_sample(&target, vec![0.1, 0.1], &cfg);
+        let res = nuts_sample(&mut &target, vec![0.1, 0.1], &cfg);
         assert!(res.divergences < 100);
         assert!(res.mean_accept > 0.4);
     }
@@ -1223,8 +918,9 @@ mod tests {
 
     #[test]
     fn lockstep_chains_match_sequential_chains_bitwise() {
-        // Smooth target and a divergence-prone banana: both must agree with
-        // the sequential sampler draw-for-draw, bit-for-bit.
+        // Smooth target and a divergence-prone banana: batching the chains
+        // must agree with driving each chain alone, draw for draw, bit for
+        // bit.
         let gaussian = |q: &[f64]| {
             let lp: f64 = q.iter().map(|x| -0.5 * x * x).sum();
             let grad: Vec<f64> = q.iter().map(|x| -x).collect();
@@ -1252,7 +948,7 @@ mod tests {
             let lockstep = nuts_sample_lockstep(&mut batched, inits.clone(), &configs);
 
             for ((init, cfg), got) in inits.into_iter().zip(&configs).zip(&lockstep) {
-                let want = nuts_sample(target, init, cfg);
+                let want = nuts_sample(&mut &*target, init, cfg);
                 assert_eq!(want.draws, got.draws);
                 assert_eq!(want.divergences, got.divergences);
                 assert_eq!(want.step_size.to_bits(), got.step_size.to_bits());
@@ -1285,10 +981,33 @@ mod tests {
         assert_eq!(lockstep[0].draws.len(), 10);
         assert_eq!(lockstep[1].draws.len(), 60);
         for ((init, cfg), got) in inits.into_iter().zip(&configs).zip(&lockstep) {
-            let want = nuts_sample(&target, init, cfg);
+            let want = nuts_sample(&mut &target, init, cfg);
             assert_eq!(want.draws, got.draws);
             assert_eq!(want.n_grad_evals, got.n_grad_evals);
         }
+    }
+
+    #[test]
+    fn both_drivers_stop_a_cancelled_chain_at_the_same_point() {
+        let target = |q: &[f64]| (-0.5 * q[0] * q[0], vec![-q[0]]);
+        let cfg = NutsConfig {
+            warmup: 10,
+            samples: 10,
+            seed: 4,
+            cancel: CancelToken::new(),
+            ..Default::default()
+        };
+        cfg.cancel.cancel();
+        let single = nuts_sample(&mut &target, vec![0.3], &cfg);
+        let lockstep = nuts_sample_lockstep(&mut &target, vec![vec![0.3]], &[cfg]);
+        for res in [&single, &lockstep[0]] {
+            assert!(res.cancelled);
+            assert!(res.draws.is_empty());
+        }
+        // Both ran the init evaluation and the step-size probes, then
+        // stopped at the top of the first iteration.
+        assert_eq!(single.n_grad_evals, lockstep[0].n_grad_evals);
+        assert!(single.n_grad_evals >= 2);
     }
 
     #[test]
@@ -1300,7 +1019,7 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let res = nuts_sample(&target, vec![0.0], &cfg);
+        let res = nuts_sample(&mut &target, vec![0.0], &cfg);
         assert!(res.n_grad_evals > 200);
         assert!(res.step_size > 0.0 && res.step_size < 10.0);
     }

@@ -82,7 +82,7 @@ pub struct SviResult {
     /// ELBO trace (one smoothed value per reporting interval).
     pub elbo_trace: Vec<f64>,
     /// True when the optimization stopped early because the caller's
-    /// cancel token fired (see [`svi_optimize_draws_cancellable`]);
+    /// cancel token fired (see [`svi_optimize`]);
     /// `params` then holds the values as of the last completed step.
     pub cancelled: bool,
 }
@@ -92,64 +92,15 @@ pub struct SviResult {
 /// `objective_grad` receives the current parameters and an RNG (for drawing
 /// the Monte-Carlo noise of the reparameterized ELBO estimate) and returns
 /// `(elbo_estimate, gradient)`.
+///
+/// `cancel` is polled once per optimization step (never inside the
+/// objective); a fired token stops the loop with the parameters from the
+/// last completed step and `cancelled: true`. The token only decides
+/// whether the next step runs, so one that never fires changes nothing.
 pub fn svi_optimize<F: FnMut(&[f64], &mut StdRng) -> (f64, Vec<f64>)>(
     objective_grad: &mut F,
     init: Vec<f64>,
     steps: usize,
-    config: AdamConfig,
-    seed: u64,
-) -> SviResult {
-    let mut multi = |params: &[f64], _draws: usize, rng: &mut StdRng| objective_grad(params, rng);
-    svi_optimize_draws_cancellable(
-        &mut multi,
-        init,
-        steps,
-        1,
-        config,
-        seed,
-        &CancelToken::new(),
-    )
-}
-
-/// [`svi_optimize`] with a multi-draw objective: `objective_grad` receives
-/// the number of Monte-Carlo draws to average per step, letting a batched
-/// backend (e.g. a lane-widened density program behind
-/// [`crate::GradTargetBatch`]) score all `draws` guide samples in one sweep.
-/// Gradients returned by the objective are already averaged over its draws.
-///
-/// With `draws == 1` and an objective that ignores the count, this is
-/// exactly [`svi_optimize`]: the step loop, Adam state, and reporting
-/// cadence are identical.
-pub fn svi_optimize_draws<F: FnMut(&[f64], usize, &mut StdRng) -> (f64, Vec<f64>)>(
-    objective_grad: &mut F,
-    init: Vec<f64>,
-    steps: usize,
-    draws: usize,
-    config: AdamConfig,
-    seed: u64,
-) -> SviResult {
-    svi_optimize_draws_cancellable(
-        objective_grad,
-        init,
-        steps,
-        draws,
-        config,
-        seed,
-        &CancelToken::new(),
-    )
-}
-
-/// [`svi_optimize_draws`] with cooperative cancellation: `cancel` is
-/// polled once per optimization step (never inside the objective), and a
-/// fired token stops the loop with the parameters from the last completed
-/// step and `cancelled: true`. With a never-firing token the run is
-/// bitwise identical to [`svi_optimize_draws`].
-#[allow(clippy::too_many_arguments)]
-pub fn svi_optimize_draws_cancellable<F: FnMut(&[f64], usize, &mut StdRng) -> (f64, Vec<f64>)>(
-    objective_grad: &mut F,
-    init: Vec<f64>,
-    steps: usize,
-    draws: usize,
     config: AdamConfig,
     seed: u64,
     cancel: &CancelToken,
@@ -168,7 +119,7 @@ pub fn svi_optimize_draws_cancellable<F: FnMut(&[f64], usize, &mut StdRng) -> (f
             break;
         }
         step_timer.begin();
-        let (elbo, grad) = objective_grad(&params, draws, &mut rng);
+        let (elbo, grad) = objective_grad(&params, &mut rng);
         adam.step(&mut params, &grad);
         running += elbo;
         step_timer.end();
@@ -187,7 +138,6 @@ pub fn svi_optimize_draws_cancellable<F: FnMut(&[f64], usize, &mut StdRng) -> (f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn adam_maximizes_a_quadratic() {
@@ -217,27 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn single_draw_multi_draw_loop_matches_the_plain_loop_bitwise() {
-        let make_objective = || {
-            |params: &[f64], rng: &mut StdRng| -> (f64, Vec<f64>) {
-                let noise: f64 = rng.gen::<f64>() - 0.5;
-                let g = -2.0 * (params[0] - 3.0) + noise;
-                (-(params[0] - 3.0).powi(2), vec![g])
-            }
-        };
-        let mut plain = make_objective();
-        let want = svi_optimize(&mut plain, vec![0.0], 300, AdamConfig::default(), 17);
-        let inner = make_objective();
-        let mut multi = |params: &[f64], draws: usize, rng: &mut StdRng| -> (f64, Vec<f64>) {
-            assert_eq!(draws, 1);
-            inner(params, rng)
-        };
-        let got = svi_optimize_draws(&mut multi, vec![0.0], 300, 1, AdamConfig::default(), 17);
-        assert_eq!(want.params, got.params);
-        assert_eq!(want.elbo_trace, got.elbo_trace);
-    }
-
-    #[test]
     fn svi_optimize_fits_a_gaussian_mean_field() {
         // Target: theta ~ N(2, 0.5^2). Variational family: N(mu, exp(omega)).
         // The reparameterized ELBO gradient has a closed form here; we just
@@ -245,11 +174,7 @@ mod tests {
         let mut objective = |params: &[f64], rng: &mut StdRng| -> (f64, Vec<f64>) {
             let (mu, omega) = (params[0], params[1]);
             let sigma_q = omega.exp();
-            let eps: f64 = {
-                let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = rng.gen::<f64>();
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-            };
+            let eps = crate::standard_normal(rng);
             let z = mu + sigma_q * eps;
             // log p(z) for N(2, 0.5), entropy of q added analytically.
             let sd = 0.5;
@@ -268,6 +193,7 @@ mod tests {
                 ..Default::default()
             },
             1,
+            &CancelToken::new(),
         );
         assert!(
             (result.params[0] - 2.0).abs() < 0.15,

@@ -12,9 +12,9 @@
 //!   runs give each thread its own target, which is exactly the sharding
 //!   model of `deepstan`'s `Session`.
 //!
-//! Every [`GradTarget`] is automatically a [`GradTargetMut`] (with one
-//! `Vec` allocation per call), so existing closures keep working with the
-//! rewritten samplers.
+//! A reference to any [`GradTarget`] is a [`GradTargetMut`] (with one
+//! `Vec` allocation per call), so closures drive the samplers as
+//! `&mut &closure`.
 //!
 //! A third tier, [`GradTargetBatch`], scores a *batch* of independent points
 //! in one call. Lockstep multi-chain samplers and multi-draw ELBO estimators
@@ -23,8 +23,8 @@
 //! forward/reverse sweep per lane group instead of one interpreter walk per
 //! point. The provided default simply loops [`GradTargetMut::logp_grad_into`]
 //! — point `i`'s result is bitwise identical either way, which is what lets
-//! the lockstep drivers promise per-chain bit-equality with the sequential
-//! samplers.
+//! the lockstep NUTS driver promise per-chain bit-equality with the
+//! single-chain driver.
 
 /// A log-density with gradient, evaluated on the unconstrained scale.
 pub trait GradTarget {

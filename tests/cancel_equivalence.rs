@@ -9,6 +9,9 @@
 //!   prefix of the same-seed run to completion.
 //! * A run that finishes just under its deadline is **byte-identical** to
 //!   the same run with no deadline at all — an unfired token is free.
+//!
+//! The NUTS prefix contracts run on both multi-chain routes: one thread per
+//! chain (the default for this dim-1 model) and forced lockstep.
 
 use std::time::Duration;
 
@@ -29,9 +32,14 @@ fn coin_data() -> Vec<(&'static str, Value<f64>)> {
     ]
 }
 
-fn nuts_fit(samples: usize, cancel: Option<CancelToken>) -> deepstan::Fit {
+fn nuts_fit(samples: usize, cancel: Option<CancelToken>, lockstep: bool) -> deepstan::Fit {
     let program = DeepStan::compile(COIN).unwrap();
-    let mut session = program.session(&coin_data()).unwrap().chains(2).seed(42);
+    let mut session = program
+        .session(&coin_data())
+        .unwrap()
+        .chains(2)
+        .seed(42)
+        .lockstep(lockstep);
     if let Some(cancel) = cancel {
         session = session.cancel(cancel);
     }
@@ -46,6 +54,12 @@ fn nuts_fit(samples: usize, cancel: Option<CancelToken>) -> deepstan::Fit {
 
 #[test]
 fn cancelled_nuts_chains_are_bitwise_prefixes_of_the_full_run() {
+    for lockstep in [false, true] {
+        cancelled_nuts_chains_are_prefixes(lockstep);
+    }
+}
+
+fn cancelled_nuts_chains_are_prefixes(lockstep: bool) {
     // Cancel mid-sampling from another thread; far more iterations are
     // requested than the cancellation window allows.
     let cancel = CancelToken::new();
@@ -56,7 +70,7 @@ fn cancelled_nuts_chains_are_bitwise_prefixes_of_the_full_run() {
             cancel.cancel();
         })
     };
-    let partial = nuts_fit(50_000_000, Some(cancel));
+    let partial = nuts_fit(50_000_000, Some(cancel), lockstep);
     trigger.join().unwrap();
     assert!(partial.cancelled, "the token must have cut the run short");
     let longest = partial
@@ -72,7 +86,7 @@ fn cancelled_nuts_chains_are_bitwise_prefixes_of_the_full_run() {
     // NUTS iteration i does not depend on the total iteration count, so a
     // full same-seed run of `longest` draws must reproduce every partial
     // chain bit for bit.
-    let full = nuts_fit(longest, None);
+    let full = nuts_fit(longest, None, lockstep);
     assert!(!full.cancelled);
     for (p, f) in partial.chains.iter().zip(&full.chains) {
         for (prow, frow) in p.draws.iter().zip(&f.draws) {
@@ -90,8 +104,9 @@ fn finishing_under_the_deadline_is_byte_identical_to_no_deadline() {
     let timed = nuts_fit(
         60,
         Some(CancelToken::with_timeout(Duration::from_secs(600))),
+        false,
     );
-    let untimed = nuts_fit(60, None);
+    let untimed = nuts_fit(60, None, false);
     assert!(!timed.cancelled);
     assert!(!untimed.cancelled);
     assert_eq!(timed.names, untimed.names);
@@ -115,20 +130,23 @@ fn pre_cancelled_tokens_yield_empty_partial_fits_not_errors() {
     let program = DeepStan::compile(COIN).unwrap();
 
     // NUTS: cancelled before the first iteration — empty chains, no error.
-    let fit = program
-        .session(&coin_data())
-        .unwrap()
-        .chains(2)
-        .seed(7)
-        .cancel(cancel.clone())
-        .run(Method::Nuts(NutsSettings {
-            warmup: 10,
-            samples: 10,
-            ..Default::default()
-        }))
-        .unwrap();
-    assert!(fit.cancelled);
-    assert!(fit.chains.iter().all(|c| c.draws.is_empty()));
+    for lockstep in [false, true] {
+        let fit = program
+            .session(&coin_data())
+            .unwrap()
+            .chains(2)
+            .seed(7)
+            .lockstep(lockstep)
+            .cancel(cancel.clone())
+            .run(Method::Nuts(NutsSettings {
+                warmup: 10,
+                samples: 10,
+                ..Default::default()
+            }))
+            .unwrap();
+        assert!(fit.cancelled);
+        assert!(fit.chains.iter().all(|c| c.draws.is_empty()));
+    }
 
     // Importance: cancelled before the first particle.
     let fit = program
