@@ -785,7 +785,7 @@ pub fn compare_by_loo(models: &[(&str, &ElpdEstimate)]) -> Vec<CompareRow> {
 /// frame by its slot (no string-keyed environment). A slot a data-dependent
 /// branch skipped contributes `slot.size` NaNs so the row stays aligned with
 /// the component names.
-fn flatten_trace(
+pub(crate) fn flatten_trace(
     model: &GModel,
     trace: &gprob::Frame<f64>,
 ) -> Result<Vec<f64>, gprob::RuntimeError> {

@@ -5,7 +5,10 @@
 //! `E_q[ log p(x, z) − log q(z; φ) ]`: the compiled guide is executed in
 //! reparameterized-sampling mode (gradients flow from the guide parameters φ
 //! into the sampled `z`), its score is `log q`, and the compiled model is
-//! scored against the resulting trace to obtain `log p`. Learnable network
+//! scored against the resulting trace to obtain `log p`. Both run on the
+//! slot-resolved runtime: the guide is resolved over the model's frame
+//! layout, so its trace frame is directly the model's trace, and both start
+//! from the bound model's post-`transformed data` frame. Learnable network
 //! parameters (e.g. the VAE encoder/decoder weights) are appended to φ and
 //! optimized jointly, exactly as Pyro's `SVI` does.
 
@@ -13,19 +16,18 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use gprob::eval::EvalCtx;
-use gprob::interp::{Interp, Mode};
-use gprob::value::{lift_env, Env, Value};
+use gprob::reval::{RCtx, RInterp, RMode};
+use gprob::{Frame, GModel, RuntimeError, Value};
 use inference::cancel::CancelToken;
 use inference::svi::{svi_optimize, AdamConfig};
-use minidiff::{grad, tape, Var};
-use probdist::Constraint;
+use minidiff::{grad, tape, Real, Var};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::api::{env_of, CompiledProgram, InferenceError, Posterior};
 use crate::networks::NetworkRegistry;
 use crate::nn::MlpSpec;
+use crate::session::flatten_trace;
 
 /// SVI settings.
 #[derive(Debug, Clone)]
@@ -53,17 +55,13 @@ impl Default for SviSettings {
     }
 }
 
-/// One learnable scalar slot in the flat φ vector.
+/// One learnable network weight tensor in the flat φ vector. Guide
+/// parameters take the front of φ, laid out by [`GModel::guide_slots`].
 #[derive(Debug, Clone)]
 struct PhiSlot {
     name: String,
     size: usize,
     offset: usize,
-    constraint: Constraint,
-    /// True when the slot belongs to a guide parameter (inserted into the
-    /// guide environment); false for network weights (pushed into the
-    /// registry).
-    is_guide_param: bool,
 }
 
 /// The result of fitting a guide with SVI.
@@ -91,7 +89,8 @@ impl CompiledProgram {
     ///
     /// # Errors
     /// Fails if the program has no guide, if a network declaration has no
-    /// registered architecture, or if evaluation fails.
+    /// registered architecture, if the data cannot be bound, or if the guide
+    /// or the model fails to evaluate at the initial parameters.
     pub fn svi(
         &self,
         data: &[(&str, Value<f64>)],
@@ -99,9 +98,9 @@ impl CompiledProgram {
         settings: &SviSettings,
     ) -> Result<VariationalFit, InferenceError> {
         let program = &self.comprehensive;
-        let guide_body = program.guide_body.clone().ok_or_else(|| {
-            InferenceError::Usage("this program has no guide block; SVI needs one".to_string())
-        })?;
+        let model = GModel::new(program.clone(), env_of(data))?;
+        let resolved = model.resolved();
+        let guide = resolved.guide.as_ref().ok_or_else(no_guide)?;
         for decl in &program.networks {
             if !networks.iter().any(|s| s.name == decl.name) {
                 return Err(InferenceError::Usage(format!(
@@ -111,57 +110,17 @@ impl CompiledProgram {
             }
         }
 
-        let data_env: Env<f64> = env_of(data);
-        // Which network parameters are lifted (declared in `parameters`)?
-        let lifted: Vec<String> = program.params.iter().map(|p| p.name.clone()).collect();
-
         // Lay out the flat φ vector: guide parameters first, then learnable
-        // network parameters.
-        let ctx_f64: EvalCtx<f64> = EvalCtx::empty();
-        let mut slots: Vec<PhiSlot> = Vec::new();
-        let mut offset = 0usize;
-        for d in &program.guide_params {
-            let mut size = 1usize;
-            for dim in &d.dims {
-                size *= gprob::eval::eval_expr(dim, &data_env, &ctx_f64)?
-                    .as_int()?
-                    .max(0) as usize;
-            }
-            if let stan_frontend::ast::BaseType::Vector(n) = &d.ty {
-                size *= gprob::eval::eval_expr(n, &data_env, &ctx_f64)?
-                    .as_int()?
-                    .max(0) as usize;
-            }
-            let lower = match &d.constraint.lower {
-                Some(e) => Some(gprob::eval::eval_expr(e, &data_env, &ctx_f64)?.as_real()?),
-                None => None,
-            };
-            let upper = match &d.constraint.upper {
-                Some(e) => Some(gprob::eval::eval_expr(e, &data_env, &ctx_f64)?.as_real()?),
-                None => None,
-            };
-            slots.push(PhiSlot {
-                name: d.name.clone(),
-                size,
-                offset,
-                constraint: Constraint::from_bounds(lower, upper),
-                is_guide_param: true,
-            });
-            offset += size;
-        }
+        // network parameters (lifted ones are sampled by the guide instead).
+        let mut offset: usize = model.guide_slots().iter().map(|s| s.size).sum();
+        let mut net_slots: Vec<PhiSlot> = Vec::new();
         for spec in networks {
-            for (pname, shape) in spec.parameter_shapes() {
-                if lifted.contains(&pname) {
-                    continue; // Bayesian: sampled by the guide, not learned directly.
+            for (name, shape) in spec.parameter_shapes() {
+                if program.params.iter().any(|p| p.name == name) {
+                    continue;
                 }
                 let size: usize = shape.iter().product();
-                slots.push(PhiSlot {
-                    name: pname,
-                    size,
-                    offset,
-                    constraint: Constraint::None,
-                    is_guide_param: false,
-                });
+                net_slots.push(PhiSlot { name, size, offset });
                 offset += size;
             }
         }
@@ -170,77 +129,59 @@ impl CompiledProgram {
         // network weights.
         let mut init = vec![0.0; offset];
         let mut init_rng = StdRng::seed_from_u64(settings.seed.wrapping_add(17));
-        for slot in &slots {
-            if !slot.is_guide_param {
-                let fan = (slot.size as f64).sqrt().max(1.0);
-                for i in 0..slot.size {
-                    init[slot.offset + i] =
-                        probdist::sampling::standard_normal(&mut init_rng) / fan;
-                }
+        for slot in &net_slots {
+            let fan = (slot.size as f64).sqrt().max(1.0);
+            for x in &mut init[slot.offset..slot.offset + slot.size] {
+                *x = probdist::sampling::standard_normal(&mut init_rng) / fan;
             }
         }
 
-        let model_body = program.body.clone();
-        let functions = program.functions.clone();
-        let fn_table = gprob::eval::FnTable::new(&functions);
-        let specs: Vec<MlpSpec> = networks.to_vec();
-        let guide_params_meta = program.guide_params.clone();
-
-        let mut objective = |phi: &[f64], rng: &mut StdRng| -> (f64, Vec<f64>) {
+        // Data constants carry no tape node, so one lifted frame serves every
+        // step.
+        let data_frame: Frame<Var> = Frame::lift(model.data_frame());
+        // The ELBO `log p(x, z) - log q(z; φ)` at one φ: the guide runs with
+        // reparameterized draws (score = log q), then the model scores the
+        // guide's trace frame (score = log p).
+        let elbo = |phi: &[f64], guide_seed: u64| -> Result<(Var, Vec<Var>), RuntimeError> {
             tape::reset();
             let vars: Vec<Var> = phi.iter().map(|&x| Var::new(x)).collect();
-
-            // Split φ into guide-parameter bindings and network weights.
             let mut registry: NetworkRegistry<Var> = NetworkRegistry::new();
-            for spec in &specs {
+            for spec in networks {
                 registry.register(spec.clone());
             }
-            let mut guide_env: Env<Var> = lift_env(&data_env);
-            for slot in &slots {
-                let values: Vec<Var> = (0..slot.size)
-                    .map(|i| slot.constraint.to_constrained(vars[slot.offset + i]))
+            for slot in &net_slots {
+                let values = vars[slot.offset..slot.offset + slot.size].to_vec();
+                registry.set_learnable(slot.name.clone(), values);
+            }
+            let mut guide_frame = data_frame.clone();
+            for (slot, &frame_slot) in model.guide_slots().iter().zip(&resolved.guide_param_slots) {
+                let values = vars[slot.offset..slot.offset + slot.size]
+                    .iter()
+                    .map(|&u| slot.constraint.to_constrained(u))
                     .collect();
-                if slot.is_guide_param {
-                    let value = if slot.size == 1 && !slot.name.contains('.') {
-                        Value::Real(values[0])
-                    } else {
-                        Value::Vector(values.clone())
-                    };
-                    guide_env.insert(slot.name.clone(), value);
-                } else {
-                    registry.set_learnable(slot.name.clone(), values);
-                }
+                guide_frame.set(frame_slot, guide_value(&slot.name, values));
             }
-
-            let ctx = EvalCtx::with_table(&functions, &fn_table).externals(&registry);
-
-            // 1. Run the guide with reparameterized sampling: score = log q.
-            let seed: u64 = rand::Rng::gen(rng);
-            let guide_rng = Rc::new(RefCell::new(StdRng::seed_from_u64(seed)));
-            let mut guide_interp = Interp::new(&ctx, Mode::Reparam(guide_rng));
-            let mut genv = guide_env.clone();
-            let guide_run = match guide_interp.run(&guide_body, &mut genv) {
-                Ok(r) => r,
-                Err(_) => return (f64::NEG_INFINITY, vec![0.0; phi.len()]),
-            };
-            let log_q = guide_run.score;
-
-            // 2. Score the model against the guide's trace: score = log p.
-            let mut model_env: Env<Var> = lift_env(&data_env);
-            let mut model_interp = Interp::new(&ctx, Mode::Trace(&guide_run.trace));
-            let log_p = match model_interp.run(&model_body, &mut model_env) {
-                Ok(r) => r.score,
-                Err(_) => return (f64::NEG_INFINITY, vec![0.0; phi.len()]),
-            };
-
-            let elbo = log_p - log_q;
-            if !elbo.value().is_finite() {
-                return (elbo.value(), vec![0.0; phi.len()]);
-            }
-            let g = grad(elbo, &vars);
-            (elbo.value(), g)
+            let ctx = RCtx::new(resolved, &program.functions, &registry);
+            let rng = Rc::new(RefCell::new(StdRng::seed_from_u64(guide_seed)));
+            let guide_run = RInterp::new(&ctx, RMode::Reparam(rng)).run(guide, &mut guide_frame)?;
+            let mut model_frame = data_frame.clone();
+            let model_run = RInterp::new(&ctx, RMode::Trace(&guide_run.trace))
+                .run(&resolved.body, &mut model_frame)?;
+            Ok((model_run.score - guide_run.score, vars))
         };
 
+        // Evaluate once at the initial φ, on a stream of its own so the
+        // optimizer's draws are untouched: a guide or model that cannot
+        // evaluate is an error, not a run of -inf ELBOs.
+        elbo(&init, settings.seed.wrapping_add(29))?;
+
+        let mut objective = |phi: &[f64], rng: &mut StdRng| -> (f64, Vec<f64>) {
+            match elbo(phi, rng.gen()) {
+                Ok((elbo, vars)) if elbo.value().is_finite() => (elbo.value(), grad(elbo, &vars)),
+                Ok((elbo, _)) => (elbo.value(), vec![0.0; phi.len()]),
+                Err(_) => (f64::NEG_INFINITY, vec![0.0; phi.len()]),
+            }
+        };
         let result = svi_optimize(
             &mut objective,
             init,
@@ -254,24 +195,28 @@ impl CompiledProgram {
         );
 
         // Unpack the optimized φ into named, constrained values.
-        let mut guide_params = HashMap::new();
-        let mut network_params = HashMap::new();
-        for slot in &slots {
-            let values: Vec<f64> = (0..slot.size)
-                .map(|i| {
-                    slot.constraint
-                        .to_constrained(result.params[slot.offset + i])
-                })
-                .collect();
-            if slot.is_guide_param {
-                guide_params.insert(slot.name.clone(), values);
-            } else {
-                network_params.insert(slot.name.clone(), values);
-            }
-        }
+        let phi = &result.params;
+        let guide_params = model
+            .guide_slots()
+            .iter()
+            .map(|slot| {
+                let values = phi[slot.offset..slot.offset + slot.size]
+                    .iter()
+                    .map(|&u| slot.constraint.to_constrained(u))
+                    .collect();
+                (slot.name.clone(), values)
+            })
+            .collect();
+        let network_params = net_slots
+            .iter()
+            .map(|slot| {
+                let values = phi[slot.offset..slot.offset + slot.size].to_vec();
+                (slot.name.clone(), values)
+            })
+            .collect();
 
         Ok(VariationalFit {
-            guide_param_names: guide_params_meta.iter().map(|d| d.name.clone()).collect(),
+            guide_param_names: model.guide_slots().iter().map(|s| s.name.clone()).collect(),
             guide_params,
             network_params,
             elbo_trace: result.elbo_trace,
@@ -283,7 +228,8 @@ impl CompiledProgram {
     /// approximation of the model parameters).
     ///
     /// # Errors
-    /// Fails if the program has no guide or evaluation fails.
+    /// Fails if the program has no guide, the fit lacks a guide parameter,
+    /// or evaluation fails.
     pub fn sample_guide(
         &self,
         data: &[(&str, Value<f64>)],
@@ -293,11 +239,9 @@ impl CompiledProgram {
         seed: u64,
     ) -> Result<Posterior, InferenceError> {
         let program = &self.comprehensive;
-        let guide_body = program
-            .guide_body
-            .clone()
-            .ok_or_else(|| InferenceError::Usage("this program has no guide block".to_string()))?;
-        let data_env: Env<f64> = env_of(data);
+        let model = GModel::new(program.clone(), env_of(data))?;
+        let resolved = model.resolved();
+        let guide = resolved.guide.as_ref().ok_or_else(no_guide)?;
 
         let mut registry: NetworkRegistry<f64> = NetworkRegistry::new();
         for spec in networks {
@@ -306,39 +250,39 @@ impl CompiledProgram {
         for (name, values) in &fit.network_params {
             registry.set_learnable(name.clone(), values.clone());
         }
+        let mut start = model.data_frame().clone();
+        for (slot, &frame_slot) in model.guide_slots().iter().zip(&resolved.guide_param_slots) {
+            let values = fit.guide_params.get(&slot.name).ok_or_else(|| {
+                InferenceError::Usage(format!("the fit has no guide parameter `{}`", slot.name))
+            })?;
+            start.set(frame_slot, guide_value(&slot.name, values.clone()));
+        }
 
-        let ctx = EvalCtx::with_functions(&program.functions).externals(&registry);
+        let ctx = RCtx::new(resolved, &program.functions, &registry);
         let rng = Rc::new(RefCell::new(StdRng::seed_from_u64(seed)));
-
-        // Component names follow the model's parameter layout.
-        let gmodel = gprob::GModel::new(program.clone(), data_env.clone())?;
-        let names = gmodel.component_names();
-
         let mut draws = Vec::with_capacity(n);
         for _ in 0..n {
-            let mut env: Env<f64> = data_env.clone();
-            for (k, v) in &fit.guide_params {
-                let value = if v.len() == 1 {
-                    Value::Real(v[0])
-                } else {
-                    Value::Vector(v.clone())
-                };
-                env.insert(k.clone(), value);
-            }
-            let mut interp = Interp::new(&ctx, Mode::Prior(rng.clone()));
-            let run = interp.run(&guide_body, &mut env)?;
-            let mut flat = Vec::new();
-            for slot in gmodel.slots() {
-                // A site the guide did not sample contributes `slot.size`
-                // NaNs so the flat row stays aligned with the names.
-                match run.trace.get(&slot.name) {
-                    Some(value) => flat.extend(value.as_real_vec()?),
-                    None => flat.extend(std::iter::repeat_n(f64::NAN, slot.size)),
-                }
-            }
-            draws.push(flat);
+            let mut frame = start.clone();
+            let run = RInterp::new(&ctx, RMode::Prior(rng.clone())).run(guide, &mut frame)?;
+            draws.push(flatten_trace(&model, &run.trace)?);
         }
-        Ok(Posterior::from_constrained(names, draws))
+        Ok(Posterior::from_constrained(model.component_names(), draws))
+    }
+}
+
+fn no_guide() -> InferenceError {
+    InferenceError::Usage("this program has no guide block; SVI needs one".to_string())
+}
+
+/// The frame value of one guide parameter: a single component binds a real
+/// unless the name is dotted (a network weight), anything else a flat
+/// vector — elementwise guide statements such as `normal(w1_mu, …)` over an
+/// array-shaped site read it flat.
+fn guide_value<T: Real>(name: &str, values: Vec<T>) -> Value<T> {
+    if values.len() == 1 && !name.contains('.') {
+        Value::Real(values[0])
+    } else {
+        Value::Vector(values)
     }
 }
 
@@ -447,5 +391,71 @@ mod tests {
         );
         // ELBO improves over training.
         assert!(fit.elbo_trace.last().unwrap() > fit.elbo_trace.first().unwrap());
+    }
+
+    fn fit(src: &str, steps: usize) -> Result<VariationalFit, InferenceError> {
+        let settings = SviSettings {
+            steps,
+            lr: 0.05,
+            seed: 3,
+            ..Default::default()
+        };
+        DeepStan::compile(src).unwrap().svi(&[], &[], &settings)
+    }
+
+    #[test]
+    fn svi_sees_transformed_data() {
+        // Posterior N(c, 0.5^2) with c computed in `transformed data`.
+        let fit = fit(
+            r#"
+            transformed data { real c = 2.0; }
+            parameters { real theta; }
+            model { theta ~ normal(c, 0.5); }
+            guide parameters { real m; real<lower=0> s; }
+            guide { theta ~ normal(m, s); }
+            "#,
+            2000,
+        )
+        .unwrap();
+        assert!(fit.elbo_trace.iter().all(|e| e.is_finite()));
+        let (m, s) = (fit.guide_params["m"][0], fit.guide_params["s"][0]);
+        assert!((m - 2.0).abs() < 0.3, "m = {m}");
+        assert!((s - 0.5).abs() < 0.15, "s = {s}");
+    }
+
+    #[test]
+    fn row_vector_and_matrix_guide_parameters_keep_every_component() {
+        for (param, guide_param) in [
+            ("vector[3] theta;", "row_vector[3] m;"),
+            ("matrix[3, 1] theta;", "matrix[3, 1] m;"),
+        ] {
+            let src = format!(
+                "parameters {{ {param} }} model {{ theta ~ normal(1, 1); }}
+                 guide parameters {{ {guide_param} }} guide {{ theta ~ normal(m, 1); }}"
+            );
+            let m = &fit(&src, 1500).unwrap().guide_params["m"];
+            assert_eq!(m.len(), 3, "{guide_param}");
+            for &x in m {
+                assert!((x - 1.0).abs() < 0.3, "{guide_param}: {m:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn svi_reports_evaluation_errors() {
+        let err = fit(
+            r#"
+            parameters { real theta; }
+            model { theta ~ normal(0, 1); }
+            guide parameters { vector[3] m; }
+            guide { theta ~ normal(m[5], 1); }
+            "#,
+            10,
+        )
+        .unwrap_err();
+        match err {
+            InferenceError::Runtime(e) => assert!(e.message().contains("out of bounds"), "{e:?}"),
+            other => panic!("expected a runtime error, got {other:?}"),
+        }
     }
 }

@@ -329,6 +329,8 @@ fn resolve_gq_with(program: &GProbProgram, fused: bool) -> Option<ResolvedGq> {
             interner: r.interner,
             params,
             body: RGExpr::Unit,
+            guide: None,
+            guide_param_slots: Vec::new(),
             fn_table: FnTable::new(&program.functions),
             written_slots,
             fused,

@@ -275,8 +275,9 @@ pub struct GProbProgram {
     /// not record them (hand-built programs); consumers then fall back to
     /// every declaration in the combined block.
     pub gq_outputs: Vec<String>,
-    /// Guide parameter declarations (DeepStan `guide parameters`).
-    pub guide_params: Vec<Decl>,
+    /// Guide parameter table (DeepStan `guide parameters`), laid out like
+    /// [`GProbProgram::params`].
+    pub guide_params: Vec<ParamInfo>,
     /// Compiled guide body (DeepStan `guide`), generated with the generative
     /// scheme.
     pub guide_body: Option<GExpr>,

@@ -15,10 +15,14 @@
 //!   evaluator for deterministic Stan expressions and statements (shared
 //!   with the baseline `stan_ref` interpreter, and still the engine for
 //!   interpreted user-defined functions).
-//! * [`reval`] — the slot-resolved evaluator and probabilistic interpreter:
-//!   the mirror of [`eval`] / [`interp`] that the density hot path runs on.
-//! * [`interp`] — the string-keyed probabilistic interpreter, retained for
-//!   the SVI guide machinery and as the differential-testing baseline.
+//! * [`reval`] — the slot-resolved evaluator and probabilistic interpreter
+//!   in all three modes (trace, prior, reparameterized): the runtime of the
+//!   density hot path, of generative runs, and of DeepStan SVI, whose guide
+//!   is resolved over the model's frame layout
+//!   ([`resolved::ResolvedProgram::guide`]).
+//! * [`interp`] — the string-keyed interpreter in trace mode only, kept as
+//!   the reference the resolved density is checked against
+//!   ([`model::GModel::log_density_baseline`]).
 //! * [`model`] — [`model::GModel`], a compiled program instantiated with
 //!   data, exposing the unconstrained log-density interface consumed by the
 //!   `inference` crate (NUTS, SVI, importance sampling).
@@ -71,7 +75,7 @@
 //!   operators, the builtin library, and distribution scoring/sampling —
 //!   they cannot drift apart semantically.
 //! * **Name-addressed boundaries.** Public trace APIs (`GModel::constrain`,
-//!   `interp::RunResult::trace`, posterior extraction) remain string-keyed;
+//!   `model::RunResult::trace`, posterior extraction) remain string-keyed;
 //!   frames cross to names only at those boundaries. External functions
 //!   (DeepStan networks) and interpreted user functions reach the
 //!   environment through [`value::EnvView`], implemented by both `Env` and

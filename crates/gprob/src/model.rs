@@ -17,8 +17,8 @@ use rand::Rng;
 use crate::eval::{
     eval_expr, exec_stmt, DeterministicOnly, EvalCtx, ExternalFns, Flow, NoExternals,
 };
-use crate::interp::{Interp, Mode, RunResult};
-use crate::ir::GProbProgram;
+use crate::interp::Interp;
+use crate::ir::{GProbProgram, ParamInfo};
 use crate::resolved::{
     resolve_program, resolve_program_scalar as gprob_resolve_scalar, Frame, ResolvedProgram,
 };
@@ -66,6 +66,17 @@ impl ParamSlot {
     }
 }
 
+/// The result of a generative run ([`GModel::run_prior`]).
+#[derive(Debug, Clone)]
+pub struct RunResult<T: Real> {
+    /// Accumulated log-score (observations, factors, and sample densities).
+    pub score: T,
+    /// Values of all `sample` sites encountered, keyed by site name.
+    pub trace: Env<T>,
+    /// The value of the final `return` expression.
+    pub value: Value<T>,
+}
+
 /// A GProb program instantiated with a concrete data set.
 ///
 /// Construction resolves the program to its slot-annotated form
@@ -87,6 +98,9 @@ pub struct GModel {
     /// Frame slot of each parameter, parallel to `slots`.
     param_frame_slots: Vec<u32>,
     dim: usize,
+    /// Layout of the guide parameters (DeepStan `guide parameters`) in their
+    /// own flat vector, evaluated against the same data as `slots`.
+    guide_slots: Vec<ParamSlot>,
     /// The tape-free density program compiled at bind time
     /// ([`crate::dprog`]), when the body admits one. `f64` density and
     /// gradient evaluations route here; the interpreted `Var`/tape path is
@@ -210,34 +224,8 @@ impl GModel {
             }
         }
 
-        let mut slots = Vec::new();
-        let mut offset = 0usize;
-        for p in &program.params {
-            let mut dims = Vec::new();
-            let mut size = 1usize;
-            for s in &p.shape {
-                let n = eval_expr(s, &data, &ctx)?.as_int()?;
-                dims.push(n);
-                size *= n.max(0) as usize;
-            }
-            let lower = match &p.lower {
-                Some(e) => Some(eval_expr(e, &data, &ctx)?.as_real()?),
-                None => None,
-            };
-            let upper = match &p.upper {
-                Some(e) => Some(eval_expr(e, &data, &ctx)?.as_real()?),
-                None => None,
-            };
-            let constraint = Constraint::from_bounds(lower, upper);
-            slots.push(ParamSlot {
-                name: p.name.clone(),
-                dims,
-                size,
-                offset,
-                constraint,
-            });
-            offset += size;
-        }
+        let (slots, dim) = layout(&program.params, &data, &ctx)?;
+        let (guide_slots, _) = layout(&program.guide_params, &data, &ctx)?;
 
         // Compile-time name resolution: one dense slot per variable, so the
         // density hot path below never hashes a string.
@@ -308,7 +296,8 @@ impl GModel {
             data_frame,
             slots,
             param_frame_slots,
-            dim: offset,
+            dim,
+            guide_slots,
             dprog,
             dprog_decline,
             jit,
@@ -339,6 +328,18 @@ impl GModel {
     /// Parameter layout in the unconstrained vector.
     pub fn slots(&self) -> &[ParamSlot] {
         &self.slots
+    }
+
+    /// Layout of the guide parameters in their own flat vector (offsets start
+    /// at 0), parallel to [`ResolvedProgram::guide_param_slots`].
+    pub fn guide_slots(&self) -> &[ParamSlot] {
+        &self.guide_slots
+    }
+
+    /// The post-`transformed data` environment as a frame of the resolved
+    /// program — the starting frame of every run.
+    pub fn data_frame(&self) -> &Frame<f64> {
+        &self.data_frame
     }
 
     /// Frame slot of each parameter, parallel to [`GModel::slots`] — for
@@ -578,9 +579,8 @@ impl GModel {
         let (trace, log_jac) = self.constrain(theta_u)?;
         let ctx = EvalCtx::with_functions(&self.program.functions).externals(externals);
         let mut env: Env<T> = lift_env(&self.data);
-        let mut interp = Interp::new(&ctx, Mode::Trace(&trace));
-        let result = interp.run(&self.program.body, &mut env)?;
-        Ok(result.score + log_jac)
+        let score = Interp::new(&ctx, &trace).run(&self.program.body, &mut env)?;
+        Ok(score + log_jac)
     }
 
     /// Plain `f64` baseline log-density (string-keyed environments).
@@ -1001,6 +1001,43 @@ impl GModel {
         self.generated_quantities_into(&mut ws, theta_u, false, seed, &mut sink)?;
         Ok(crate::gq::outputs_to_env(gq, &ws))
     }
+}
+
+/// Lays out a parameter table in a flat vector: shapes and bounds are
+/// evaluated against the (post-`transformed data`) data environment.
+fn layout(
+    params: &[ParamInfo],
+    data: &Env<f64>,
+    ctx: &EvalCtx<f64>,
+) -> Result<(Vec<ParamSlot>, usize), RuntimeError> {
+    let mut slots = Vec::new();
+    let mut offset = 0usize;
+    for p in params {
+        let mut dims = Vec::new();
+        let mut size = 1usize;
+        for s in &p.shape {
+            let n = eval_expr(s, data, ctx)?.as_int()?;
+            dims.push(n);
+            size *= n.max(0) as usize;
+        }
+        let lower = match &p.lower {
+            Some(e) => Some(eval_expr(e, data, ctx)?.as_real()?),
+            None => None,
+        };
+        let upper = match &p.upper {
+            Some(e) => Some(eval_expr(e, data, ctx)?.as_real()?),
+            None => None,
+        };
+        slots.push(ParamSlot {
+            name: p.name.clone(),
+            dims,
+            size,
+            offset,
+            constraint: Constraint::from_bounds(lower, upper),
+        });
+        offset += size;
+    }
+    Ok((slots, offset))
 }
 
 fn shape_param<T: Real>(comps: &[T], dims: &[i64]) -> Value<T> {

@@ -436,6 +436,13 @@ pub struct ResolvedProgram {
     pub params: Vec<RParamInfo>,
     /// The resolved model body.
     pub body: RGExpr,
+    /// The resolved guide body (DeepStan `guide`), when the program has one.
+    /// It shares the model's interner, so a guide run's sample trace is
+    /// directly a trace frame for the model body.
+    pub guide: Option<RGExpr>,
+    /// Frame slot of each guide parameter, parallel to
+    /// [`GProbProgram::guide_params`].
+    pub guide_param_slots: Vec<u32>,
     /// The user-function dispatch table, hoisted here so evaluation contexts
     /// never rebuild (and re-clone the `String` keys of) the per-evaluation
     /// `HashMap` the evaluators historically used.
@@ -517,8 +524,17 @@ fn resolve_program_with(program: &GProbProgram, fused: bool) -> ResolvedProgram 
 
     let params: Vec<RParamInfo> = program.params.iter().map(|p| r.resolve_param(p)).collect();
 
-    let body = r.resolve_gexpr(&program.body);
-    let body = if fused { lower_sweeps(body) } else { body };
+    let lower = |body| if fused { lower_sweeps(body) } else { body };
+    let body = lower(r.resolve_gexpr(&program.body));
+    let guide_param_slots = program
+        .guide_params
+        .iter()
+        .map(|p| r.slot_for(&p.name))
+        .collect();
+    let guide = program
+        .guide_body
+        .as_ref()
+        .map(|g| lower(r.resolve_gexpr(g)));
 
     let mut written_slots = Vec::new();
     collect_written_slots(&body, &mut written_slots);
@@ -530,6 +546,8 @@ fn resolve_program_with(program: &GProbProgram, fused: bool) -> ResolvedProgram 
         interner: r.interner,
         params,
         body,
+        guide,
+        guide_param_slots,
         fn_table: FnTable::new(&program.functions),
         written_slots,
         fused,

@@ -3,9 +3,10 @@
 //! This is the hot path of the runtime: the mirror of [`crate::eval`] /
 //! [`crate::interp`] for the resolved IR of [`crate::resolved`]. Every
 //! variable access is a vector index instead of a string hash. Value-level
-//! helpers (binary operators, the builtin library, distribution scoring and
-//! sampling) are shared with the string-keyed evaluator, so the two runtimes
-//! cannot drift apart semantically.
+//! helpers (binary operators, the builtin library, distribution scoring) are
+//! shared with the string-keyed evaluator, so the two runtimes cannot drift
+//! apart semantically. Sampling (prior and reparameterized draws, used by
+//! generative runs and DeepStan SVI) exists only here.
 //!
 //! User-defined functions and external functions (DeepStan networks) remain
 //! name-addressed; they receive the frame through the
@@ -15,17 +16,18 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use minidiff::Real;
-use rand::rngs::StdRng;
-use stan_frontend::ast::FunDecl;
-
+use probdist::dist::{dist_from_name, Dist, DistArg};
+use probdist::sampling;
 use probdist::sweep::{lpdf_sweep, SweepArg, SweepVals};
+use rand::rngs::StdRng;
+use rand::Rng;
+use stan_frontend::ast::FunDecl;
 
 use crate::eval::{
     call_builtin, call_user_function, eval_binary, eval_unary, set_nested, slice_value,
     tilde_lpdf_kind_batched, EvalCtx, ExternalFns,
 };
 
-use crate::interp::draw_site;
 use crate::resolved::{
     CallTarget, Frame, FrameView, RDecl, RDeclKind, RDistCall, RExpr, RGExpr, RIndex, RLoopKind,
     RSweep, ResolvedProgram, SweepArgSpec,
@@ -340,7 +342,8 @@ pub struct RRunResult<T: Real> {
     pub value: Value<T>,
 }
 
-/// The slot-frame probabilistic interpreter (mirror of [`crate::interp::Interp`]).
+/// The slot-frame probabilistic interpreter. Its trace mode mirrors
+/// [`crate::interp::Interp`].
 pub struct RInterp<'a, T: Real> {
     ctx: &'a RCtx<'a, T>,
     mode: RMode<'a, T>,
@@ -735,6 +738,115 @@ impl<'a, T: Real> RInterp<'a, T> {
     }
 }
 
+/// Draws a value for a sample site whose distribution arguments and shape
+/// dimensions have already been evaluated.
+fn draw_site<T: Real>(
+    dist_name: &str,
+    args: &[Value<T>],
+    dims: &[i64],
+    rng: &Rc<RefCell<StdRng>>,
+    reparam: bool,
+) -> Result<Value<T>, RuntimeError> {
+    let total: i64 = dims.iter().map(|&n| n.max(0)).product();
+    let multivariate = matches!(
+        dist_name,
+        "dirichlet" | "multi_normal" | "multi_normal_diag"
+    );
+    let mut rng = rng.borrow_mut();
+    let mut draw_scalar = |i: usize| -> Result<Value<T>, RuntimeError> {
+        // When a distribution argument is a vector of the same length as
+        // the site (e.g. `theta ~ normal(mu_vec, sigma)` under the mixed
+        // scheme), use the i-th component.
+        let elem_args: Vec<DistArg<T>> = args
+            .iter()
+            .map(|a| -> Result<DistArg<T>, RuntimeError> {
+                if a.len() as i64 == total && total > 1 {
+                    Ok(DistArg::Scalar(a.as_real_vec()?[i]))
+                } else {
+                    match a {
+                        Value::Vector(_) | Value::IntArray(_) | Value::Array(_) => {
+                            Ok(DistArg::Vector(a.as_real_vec()?))
+                        }
+                        other => Ok(DistArg::Scalar(other.as_real()?)),
+                    }
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        let di = dist_from_name::<T>(dist_name, &elem_args)?;
+        if reparam {
+            Ok(reparam_draw(&di, &mut rng))
+        } else {
+            Ok(match di.sample(&mut *rng)? {
+                probdist::SampleValue::Real(x) => Value::Real(T::from_f64(x)),
+                probdist::SampleValue::Int(k) => Value::Int(k),
+                probdist::SampleValue::Vec(v) => {
+                    Value::Vector(v.into_iter().map(T::from_f64).collect())
+                }
+            })
+        }
+    };
+
+    if dims.is_empty() || multivariate {
+        return draw_scalar(0);
+    }
+    // Build the shaped container (nested arrays of vectors).
+    let flat: Vec<Value<T>> = (0..total as usize)
+        .map(draw_scalar)
+        .collect::<Result<_, _>>()?;
+    Ok(shape_values(&flat, dims))
+}
+
+fn shape_values<T: Real>(flat: &[Value<T>], dims: &[i64]) -> Value<T> {
+    if dims.len() <= 1 {
+        if flat.iter().all(|v| matches!(v, Value::Int(_))) {
+            return Value::IntArray(flat.iter().map(|v| v.as_int().unwrap_or(0)).collect());
+        }
+        return Value::Vector(
+            flat.iter()
+                .map(|v| v.as_real().unwrap_or_else(|_| T::from_f64(0.0)))
+                .collect(),
+        );
+    }
+    let chunk = (flat.len() as i64 / dims[0].max(1)) as usize;
+    Value::Array(
+        flat.chunks(chunk.max(1))
+            .map(|c| shape_values(c, &dims[1..]))
+            .collect(),
+    )
+}
+
+/// Reparameterized draw: the returned value keeps gradient flow into the
+/// distribution parameters for location-scale families; other families fall
+/// back to an untracked draw.
+fn reparam_draw<T: Real>(d: &Dist<T>, rng: &mut StdRng) -> Value<T> {
+    match d {
+        Dist::Normal { mu, sigma } => {
+            let eps = sampling::standard_normal(rng);
+            Value::Real(*mu + *sigma * T::from_f64(eps))
+        }
+        Dist::LogNormal { mu, sigma } => {
+            let eps = sampling::standard_normal(rng);
+            Value::Real((*mu + *sigma * T::from_f64(eps)).exp())
+        }
+        Dist::Uniform { lo, hi } => {
+            let u: f64 = rng.gen();
+            Value::Real(*lo + (*hi - *lo) * T::from_f64(u))
+        }
+        Dist::Exponential { rate } => {
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            Value::Real(-T::from_f64(u.ln()) / *rate)
+        }
+        other => match other.sample(rng) {
+            Ok(probdist::SampleValue::Real(x)) => Value::Real(T::from_f64(x)),
+            Ok(probdist::SampleValue::Int(k)) => Value::Int(k),
+            Ok(probdist::SampleValue::Vec(v)) => {
+                Value::Vector(v.into_iter().map(T::from_f64).collect())
+            }
+            Err(_) => Value::Real(T::from_f64(0.0)),
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -889,5 +1001,76 @@ mod tests {
         let mut interp = RInterp::new(&ctx, RMode::Trace(&empty_trace));
         let err = interp.run(&resolved.body, &mut frame).unwrap_err();
         assert!(err.message().contains("mystery"), "{}", err.message());
+    }
+
+    #[test]
+    fn reparam_mode_keeps_gradients() {
+        use minidiff::{grad, tape, Var};
+        // guide: z ~ normal(m, exp(s))  with learnable m, s
+        let program = GProbProgram {
+            body: GExpr::LetSample {
+                name: "z".into(),
+                dist: DistCall::new(
+                    "normal",
+                    vec![
+                        Expr::var("m"),
+                        Expr::Call("exp".into(), vec![Expr::var("s")]),
+                    ],
+                ),
+                body: Box::new(GExpr::Return(Expr::var("z"))),
+            },
+            ..Default::default()
+        };
+        let resolved = resolve_program(&program);
+        tape::reset();
+        let m = Var::new(0.3);
+        let s = Var::new(-1.0);
+        let mut frame = resolved.frame::<Var>();
+        frame.set(resolved.slot_of("m").unwrap(), Value::Real(m));
+        frame.set(resolved.slot_of("s").unwrap(), Value::Real(s));
+        let ctx = RCtx::new(&resolved, &[], &crate::eval::NoExternals);
+        let rng = Rc::new(RefCell::new(StdRng::seed_from_u64(5)));
+        let run = RInterp::new(&ctx, RMode::Reparam(rng))
+            .run(&resolved.body, &mut frame)
+            .unwrap();
+        let z = run
+            .trace
+            .get(resolved.slot_of("z").unwrap())
+            .unwrap()
+            .as_real()
+            .unwrap();
+        let g = grad(z, &[m, s]);
+        // dz/dm = 1 for a location-scale reparameterization.
+        assert!((g[0] - 1.0).abs() < 1e-12);
+        // dz/ds = sigma' * eps = exp(s) * eps = z - m
+        assert!((g[1] - (z.value() - 0.3)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shaped_sample_sites_draw_containers() {
+        // let theta = sample(normal(0, 1)) with shape [3]
+        let program = GProbProgram {
+            body: GExpr::LetSample {
+                name: "theta".into(),
+                dist: DistCall::with_shape(
+                    "normal",
+                    vec![Expr::RealLit(0.0), Expr::RealLit(1.0)],
+                    vec![Expr::IntLit(3)],
+                ),
+                body: Box::new(GExpr::Return(Expr::var("theta"))),
+            },
+            ..Default::default()
+        };
+        let resolved = resolve_program(&program);
+        let ctx = RCtx::new(&resolved, &[], &crate::eval::NoExternals);
+        let rng = Rc::new(RefCell::new(StdRng::seed_from_u64(4)));
+        let mut frame = resolved.frame::<f64>();
+        let run = RInterp::new(&ctx, RMode::Prior(rng))
+            .run(&resolved.body, &mut frame)
+            .unwrap();
+        match run.trace.get(resolved.slot_of("theta").unwrap()).unwrap() {
+            Value::Vector(v) => assert_eq!(v.len(), 3),
+            other => panic!("expected vector, got {other:?}"),
+        }
     }
 }

@@ -39,7 +39,7 @@ impl Scheme {
 ///   types that the backends do not support (mirroring the paper's reported
 ///   Pyro/NumPyro limitations).
 pub fn compile(program: &Program, scheme: Scheme) -> Result<GProbProgram, CompileError> {
-    let params = param_infos(program)?;
+    let params = param_infos(&program.parameters)?;
     let param_names: Vec<String> = params.iter().map(|p| p.name.clone()).collect();
 
     // The compiled model: transformed parameters inlined before the model
@@ -153,7 +153,7 @@ pub fn compile(program: &Program, scheme: Scheme) -> Result<GProbProgram, Compil
         body,
         generated_quantities,
         gq_outputs,
-        guide_params: program.guide_parameters.clone(),
+        guide_params: param_infos(&program.guide_parameters)?,
         guide_body,
     })
 }
@@ -181,11 +181,11 @@ struct Ctx<'a> {
     param_names: &'a [String],
 }
 
-/// Extracts the parameter table: shapes (array dims then container size) and
-/// constraint bounds.
-fn param_infos(program: &Program) -> Result<Vec<ParamInfo>, CompileError> {
+/// Extracts a parameter table (of the `parameters` or the `guide parameters`
+/// block): shapes (array dims then container size) and constraint bounds.
+fn param_infos(decls: &[Decl]) -> Result<Vec<ParamInfo>, CompileError> {
     let mut params = Vec::new();
-    for d in &program.parameters {
+    for d in decls {
         let mut shape: Vec<Expr> = d.dims.clone();
         match &d.ty {
             BaseType::Int => {
