@@ -30,21 +30,22 @@
 //! readable via `GModel::dprog_decline` — keep the recorded-tape path,
 //! byte-identical to the previous behavior.
 //!
-//! Compiled multi-chain NUTS runs take a different sharding: instead of one
-//! thread per chain, all chains advance in *lockstep*
-//! ([`inference::nuts::nuts_sample_lockstep`]) over one shared
-//! [`WorkspaceTarget`], and every round's pending leapfrog evaluations are
-//! scored together by the lane-widened density program — one
-//! struct-of-arrays sweep per group of up to 8 chains. ADVI likewise batches
-//! its per-step Monte-Carlo guide draws through the same surface. Per-chain
-//! draws are bitwise identical to the threaded path either way, because
-//! both routes run the one NUTS state machine; declined models keep the
-//! thread-per-chain sharding.
+//! Compiled multi-chain NUTS runs that find no idle cores for their chains
+//! take a different sharding: instead of one thread per chain, all chains
+//! advance in *lockstep* ([`inference::nuts::nuts_sample_lockstep`]) over
+//! one shared [`WorkspaceTarget`] on the calling thread, and every round's
+//! pending leapfrog evaluations are scored together by the lane-widened
+//! density program — one struct-of-arrays sweep per group of up to 8
+//! chains. A process-wide count of sampler threads in use decides which
+//! route a run gets. ADVI likewise batches its per-step Monte-Carlo guide
+//! draws through the same surface. Per-chain draws are bitwise identical to
+//! the threaded path either way, because both routes run the one NUTS state
+//! machine; declined models keep the thread-per-chain sharding.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use gprob::model::ParamSlot;
@@ -132,8 +133,9 @@ pub struct Session<'p> {
     model: Option<(Scheme, Arc<GModel>)>,
     reference_model: Option<stan_ref::StanModel>,
     /// Overrides the lockstep-vs-threads multi-chain NUTS decision
-    /// (`None` = the cost heuristic decides). Both paths produce bitwise
-    /// identical draws; benches force each side to measure the other.
+    /// (`None` = idle cores, then the cost heuristic, decide). Both paths
+    /// produce bitwise identical draws; benches force each side to measure
+    /// the other.
     lockstep: Option<bool>,
     /// Cross-request gradient-workspace pool ([`Session::workspace_pool`]):
     /// when set (and built over this session's model), chain targets check
@@ -223,9 +225,9 @@ impl Session<'_> {
     }
 
     /// Forces lockstep (`true`) or one-thread-per-chain (`false`) multi-chain
-    /// NUTS execution instead of letting the cost heuristic decide. Both
-    /// paths produce bitwise identical per-chain draws; this exists for
-    /// benchmarking the heuristic's two sides against each other.
+    /// NUTS execution instead of letting idle cores and the cost heuristic
+    /// decide. Both paths produce bitwise identical per-chain draws; this
+    /// exists for benchmarking the two routes against each other.
     pub fn lockstep(mut self, lockstep: bool) -> Self {
         self.lockstep = Some(lockstep);
         self
@@ -287,9 +289,10 @@ impl Session<'_> {
     /// The order depends on the route:
     ///
     /// * Thread-per-chain NUTS (the reference backend, declined models,
-    ///   programs below the lockstep cost floor, or `lockstep(false)`)
-    ///   invokes the observer incrementally in chain *completion* order
-    ///   while other chains are still sampling.
+    ///   runs that find idle cores for every chain, programs below the
+    ///   lockstep cost floor, or `lockstep(false)`) invokes the observer
+    ///   incrementally in chain *completion* order while other chains are
+    ///   still sampling.
     /// * Lockstep NUTS (all chains advance through one lane-batched
     ///   gradient) finishes its chains together, so the observer fires for
     ///   each chain in index order once the last chain is done.
@@ -385,7 +388,8 @@ impl Session<'_> {
             run_nuts_chains(
                 chains,
                 &config,
-                false,
+                ChainRoute::Threads,
+                SamplerThreads::global(),
                 &|| StanModelTarget(model),
                 &|rng| init_point(&init, rng, model.dim()),
                 &|theta| model.log_density_f64(theta).map(|_| ()),
@@ -400,24 +404,26 @@ impl Session<'_> {
         let pool = pool_arc
             .as_deref()
             .filter(|p| std::ptr::eq(p.model().as_ref() as *const GModel, model));
-        // Multi-chain runs over a compiled density program advance all
-        // chains in lockstep so the lane-widened DProg scores every chain's
-        // leapfrog state in one batched sweep; declined models — and
-        // programs too small to amortize the lane dispatch
-        // ([`lockstep_worthwhile`]) — keep the one-thread-per-chain
-        // sharding. Both produce bitwise-identical per-chain draws.
-        let lockstep = chains > 1
-            && match model.dprog() {
-                Some(dprog) => {
-                    lockstep_override.unwrap_or_else(|| lockstep_worthwhile(model.dim(), dprog))
-                }
-                None => false,
-            };
+        // Multi-chain runs over a compiled density program take a thread
+        // per chain while the machine has idle cores for them, and otherwise
+        // advance all chains in lockstep so the lane-widened DProg scores
+        // every chain's leapfrog state in one batched sweep. Declined models
+        // — and programs too small to amortize the lane dispatch
+        // ([`lockstep_worthwhile`]) — always take a thread per chain. Both
+        // produce bitwise-identical per-chain draws.
+        let route = match (model.dprog(), lockstep_override) {
+            (Some(_), Some(true)) => ChainRoute::Lockstep,
+            (Some(dprog), None) if lockstep_worthwhile(model.dim(), dprog) => {
+                ChainRoute::ThreadsIfIdle
+            }
+            _ => ChainRoute::Threads,
+        };
         let mut fit = NutsFitCollector::new(chains, model.slots(), on_chain);
         run_nuts_chains(
             chains,
             &config,
-            lockstep,
+            route,
+            SamplerThreads::global(),
             &|| match pool {
                 Some(p) => WorkspaceTarget::pooled(p),
                 None => WorkspaceTarget::new(model),
@@ -892,7 +898,7 @@ impl WorkspacePool {
 /// one analytic reverse sweep per leapfrog step, no tape recording;
 /// declined models evaluate through the recorded tape exactly as before.
 /// Evaluation errors surface as `-inf` plateaus, exactly as the
-/// closure-based wiring did.
+/// closure-based wiring did, and are counted in `nuts.eval_errors`.
 pub struct WorkspaceTarget<'m> {
     model: &'m GModel,
     /// `Some` until drop; taken back by the pool (when pooled) on drop.
@@ -940,6 +946,7 @@ impl GradTargetMut for WorkspaceTarget<'_> {
         match model.log_density_and_grad_with(self.ws(), q, grad) {
             Ok(lp) => lp,
             Err(_) => {
+                obs::counter("nuts.eval_errors").inc();
                 grad.fill(0.0);
                 f64::NEG_INFINITY
             }
@@ -950,8 +957,9 @@ impl GradTargetMut for WorkspaceTarget<'_> {
 /// Batched evaluation: models with a compiled density program score the
 /// whole batch in struct-of-arrays lane groups (one forward and one reverse
 /// sweep per group of up to 8 points); declined models loop the single-point
-/// entry, preserving the `Err` → `-inf` plateau mapping point by point. Both
-/// routes are bitwise identical per point to [`GradTargetMut::logp_grad_into`].
+/// entry, preserving the `Err` → `-inf` plateau mapping (and its
+/// `nuts.eval_errors` count) point by point. Both routes are bitwise
+/// identical per point to [`GradTargetMut::logp_grad_into`].
 impl GradTargetBatch for WorkspaceTarget<'_> {
     fn logp_grad_batch(&mut self, qs: &[f64], logps: &mut [f64], grads: &mut [f64]) {
         let n = logps.len();
@@ -976,6 +984,93 @@ impl GradTargetBatch for WorkspaceTarget<'_> {
     }
 }
 
+/// How [`run_nuts_chains`] shards a multi-chain run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChainRoute {
+    /// One thread per chain.
+    Threads,
+    /// Every chain over one batched target on the calling thread.
+    Lockstep,
+    /// [`ChainRoute::Threads`] when the machine has an idle core for every
+    /// chain, [`ChainRoute::Lockstep`] otherwise.
+    ThreadsIfIdle,
+}
+
+/// The process-wide count of NUTS sampler threads in use, against the
+/// machine's core count. Each [`run_nuts_chains`] call holds a
+/// [`SamplerSlots`] claim on it for the whole run, so concurrent sessions
+/// (a serve pool's workers) see each other's chains when they pick a route.
+/// The count publishes no other data, so its updates are `Relaxed`; the
+/// read-modify-writes on it are still totally ordered.
+struct SamplerThreads {
+    busy: AtomicUsize,
+    cores: usize,
+}
+
+impl SamplerThreads {
+    fn new(cores: usize) -> Self {
+        SamplerThreads {
+            busy: AtomicUsize::new(0),
+            cores,
+        }
+    }
+
+    /// The process-wide count. The core count is read once, because each
+    /// `available_parallelism` call reads cgroup files.
+    fn global() -> &'static SamplerThreads {
+        static GLOBAL: OnceLock<SamplerThreads> = OnceLock::new();
+        GLOBAL.get_or_init(|| {
+            SamplerThreads::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        })
+    }
+
+    /// Claims `n` threads whatever the load.
+    fn hold(&self, n: usize) -> SamplerSlots<'_> {
+        self.busy.fetch_add(n, Ordering::Relaxed);
+        SamplerSlots { threads: self, n }
+    }
+
+    /// Claims `n` threads only if they fit in the idle cores. One
+    /// compare-and-swap, so two sessions cannot both claim the same cores.
+    fn try_hold(&self, n: usize) -> Option<SamplerSlots<'_>> {
+        self.busy
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+                busy.checked_add(n).filter(|&total| total <= self.cores)
+            })
+            .ok()
+            .map(|_| SamplerSlots { threads: self, n })
+    }
+
+    /// Resolves `route` for a run of `chains` chains and claims its threads:
+    /// `chains` on the threads route, 1 for lockstep or a single chain.
+    /// Returns whether the run goes lockstep.
+    fn claim(&self, route: ChainRoute, chains: usize) -> (bool, SamplerSlots<'_>) {
+        let lockstep = match route {
+            ChainRoute::Threads => false,
+            ChainRoute::Lockstep => true,
+            ChainRoute::ThreadsIfIdle => match self.try_hold(chains) {
+                Some(slots) => return (false, slots),
+                None => true,
+            },
+        } && chains > 1;
+        let n = if lockstep { 1 } else { chains.max(1) };
+        (lockstep, self.hold(n))
+    }
+}
+
+/// A claim on [`SamplerThreads`], given back on drop — on every exit of the
+/// run, error returns and unwinding included.
+struct SamplerSlots<'a> {
+    threads: &'a SamplerThreads,
+    n: usize,
+}
+
+impl Drop for SamplerSlots<'_> {
+    fn drop(&mut self) {
+        self.threads.busy.fetch_sub(self.n, Ordering::Relaxed);
+    }
+}
+
 /// Runs `chains` NUTS chains and hands each one's result to `on_chain` with
 /// its wall time. Chain `c` uses seed `config.seed + c` for both its
 /// starting point and its sampler.
@@ -985,9 +1080,14 @@ impl GradTargetBatch for WorkspaceTarget<'_> {
 /// chain's init surfaces as an error rather than a silent `-inf` plateau
 /// that would pool a frozen chain into the summaries.
 ///
-/// With `lockstep`, every chain advances over one shared batched target:
-/// each round, all chains' pending leapfrog evaluations go through one
-/// `logp_grad_batch` call, which a lane-widened density program scores
+/// `route` picks the sharding. It is resolved against the sampler-thread
+/// count `threads` ([`SamplerThreads::global`] outside tests), where the
+/// run holds its threads until it returns. The route taken is counted in
+/// `nuts.route.threads` / `nuts.route.lockstep`.
+///
+/// On the lockstep route, every chain advances over one shared batched
+/// target: each round, all chains' pending leapfrog evaluations go through
+/// one `logp_grad_batch` call, which a lane-widened density program scores
 /// with one struct-of-arrays sweep per lane group. The chains finish
 /// together and are observed in index order; wall time cannot be
 /// attributed per chain, so each reports an equal share of the run.
@@ -1006,7 +1106,8 @@ impl GradTargetBatch for WorkspaceTarget<'_> {
 fn run_nuts_chains<T, F, G, C>(
     chains: usize,
     config: &NutsConfig,
-    lockstep: bool,
+    route: ChainRoute,
+    threads: &SamplerThreads,
     make_target: &F,
     make_init: &G,
     check: &C,
@@ -1018,6 +1119,13 @@ where
     G: Fn(&mut StdRng) -> Vec<f64> + Sync,
     C: Fn(&[f64]) -> Result<(), gprob::RuntimeError> + Sync,
 {
+    let (lockstep, _slots) = threads.claim(route, chains);
+    obs::counter(if lockstep {
+        "nuts.route.lockstep"
+    } else {
+        "nuts.route.threads"
+    })
+    .inc();
     let chain_config = |c: usize| {
         let mut chain_cfg = config.clone();
         chain_cfg.seed = config.seed.wrapping_add(c as u64);
@@ -1081,13 +1189,14 @@ where
     })
 }
 
-/// Lockstep multi-chain NUTS pays a fixed per-round dispatch cost (lane-file
-/// preparation, operand re-resolution, chain bookkeeping) that a density
-/// program must amortize: on dim-1 toy programs with near-empty bodies the
-/// PR 6 benches measured lockstep at 0.88x of thread-per-chain (`coin`),
-/// while every real model gained 1.37-1.48x. Fall back to sequential chain
-/// execution below a dimension/cost floor; both paths produce bitwise
-/// identical draws, so the heuristic is purely a scheduling decision.
+/// Whether a compiled program is worth running in lockstep when the
+/// machine has no idle core for each of its chains. Lockstep pays a fixed
+/// per-round dispatch cost (lane-file preparation, operand re-resolution,
+/// chain bookkeeping) that a density program must amortize; near-empty
+/// dim-1 programs do not, so below a dimension/cost floor the chains take
+/// threads anyway. The floor was measured on a 1-core machine, where every
+/// multi-chain run shares the one core. Both routes produce bitwise
+/// identical draws, so this is purely a scheduling decision.
 fn lockstep_worthwhile(dim: usize, dprog: &gprob::dprog::DProg) -> bool {
     const MIN_DIM: usize = 2;
     const MIN_COST: usize = 48;
@@ -1847,6 +1956,115 @@ mod tests {
             session.loo(&mut fit),
             Err(InferenceError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn idle_cores_decide_the_route_and_claims_come_back() {
+        let threads = SamplerThreads::new(2);
+        let busy = || threads.busy.load(Ordering::Relaxed);
+        {
+            // Two chains at 0 busy fit in the two cores: a thread each.
+            let (lockstep, _slots) = threads.claim(ChainRoute::ThreadsIfIdle, 2);
+            assert!(!lockstep);
+            assert_eq!(busy(), 2);
+        }
+        assert_eq!(busy(), 0);
+        let other = threads.hold(1);
+        {
+            // At 1 busy they do not: lockstep, one thread.
+            assert!(threads.try_hold(2).is_none());
+            let (lockstep, _slots) = threads.claim(ChainRoute::ThreadsIfIdle, 2);
+            assert!(lockstep);
+            assert_eq!(busy(), 2);
+        }
+        drop(other);
+        assert_eq!(busy(), 0);
+        // Fixed routes claim whatever the load; one chain is one thread.
+        for (route, chains, lockstep, held) in [
+            (ChainRoute::Threads, 3, false, 3),
+            (ChainRoute::Lockstep, 3, true, 1),
+            (ChainRoute::Lockstep, 1, false, 1),
+            (ChainRoute::ThreadsIfIdle, 1, false, 1),
+        ] {
+            let (got, _slots) = threads.claim(route, chains);
+            assert_eq!(got, lockstep, "{route:?} x{chains}");
+            assert_eq!(busy(), held, "{route:?} x{chains}");
+        }
+        assert_eq!(busy(), 0);
+    }
+
+    #[test]
+    fn failed_or_panicking_runs_give_their_threads_back() {
+        let model = DeepStan::compile(COIN).unwrap().bind(&coin_data()).unwrap();
+        let threads = SamplerThreads::new(2);
+        let config = NutsConfig {
+            warmup: 5,
+            samples: 5,
+            ..Default::default()
+        };
+        let run = |route, fail: &(dyn Fn() + Sync)| {
+            run_nuts_chains(
+                2,
+                &config,
+                route,
+                &threads,
+                &|| WorkspaceTarget::new(&model),
+                &|_| vec![0.0],
+                &|_| {
+                    fail();
+                    Err(gprob::RuntimeError::new("bad init"))
+                },
+                &mut |_, _, _| panic!("no chain passes its init check"),
+            )
+        };
+        for route in [
+            ChainRoute::Threads,
+            ChainRoute::Lockstep,
+            ChainRoute::ThreadsIfIdle,
+        ] {
+            assert!(run(route, &|| {}).is_err(), "{route:?}");
+            assert_eq!(threads.busy.load(Ordering::Relaxed), 0, "{route:?}");
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run(route, &|| panic!("init check panicked"))
+            }));
+            assert!(panicked.is_err(), "{route:?}");
+            assert_eq!(threads.busy.load(Ordering::Relaxed), 0, "{route:?}");
+        }
+    }
+
+    #[test]
+    fn evaluation_errors_are_counted_and_the_fit_returns() {
+        // The density errors (an out-of-bounds read) wherever mu > 1, and
+        // the branch on a parameter keeps the model on the tape path.
+        let src = r#"
+            data { vector[3] v; }
+            parameters { real mu; }
+            model {
+                mu ~ normal(0, 1);
+                if (mu > 1) target += v[5];
+            }
+        "#;
+        let program = DeepStan::compile(src).unwrap();
+        let data = [("v", Value::Vector(vec![0.0, 0.0, 0.0]))];
+        let counter = |name: &str| obs::global().snapshot().counter(name);
+        let errors = || counter("nuts.eval_errors");
+        let before = errors();
+        let threads_before = counter("nuts.route.threads");
+        let fit = program
+            .session(&data)
+            .unwrap()
+            .seed(4)
+            .init(Init::Value(vec![0.0]))
+            .run(Method::Nuts(NutsSettings {
+                warmup: 100,
+                samples: 100,
+                ..Default::default()
+            }))
+            .unwrap();
+        assert_eq!(fit.chains[0].draws.len(), 100);
+        assert!(errors() > before, "{before:?} -> {:?}", errors());
+        // A single chain counts as a threads-route run.
+        assert!(counter("nuts.route.threads") > threads_before);
     }
 
     #[test]

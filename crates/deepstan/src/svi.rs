@@ -442,6 +442,26 @@ mod tests {
     }
 
     #[test]
+    fn length_one_vector_guide_sites_take_their_mean_element_by_element() {
+        // A `vector[1]` site over a `vector[1]` mean (the VAE with nz = 1,
+        // whose mean is a network output; a one-component guide parameter
+        // itself binds as a scalar).
+        let fit = fit(
+            r#"
+            parameters { vector[1] theta; }
+            model { theta ~ normal(1, 1); }
+            guide parameters { real m; }
+            guide { theta ~ normal(rep_vector(m, 1), 1); }
+            "#,
+            1500,
+        )
+        .unwrap();
+        assert!(fit.elbo_trace.iter().all(|e| e.is_finite()));
+        let m = fit.guide_params["m"][0];
+        assert!((m - 1.0).abs() < 0.3, "m = {m}");
+    }
+
+    #[test]
     fn svi_reports_evaluation_errors() {
         let err = fit(
             r#"

@@ -78,7 +78,7 @@
 //! | `Dot`/`Sum`/`MatVec`/`MaxVal` | reductions over spans (`MaxVal` is the untracked `log_sum_exp` stabilizer) | `Dot`: cross partials; `Sum`: broadcast; `MatVec`: transposed matrix; `MaxVal`: zero |
 //! | `Constrain` | [`probdist::Constraint`] transform + log-Jacobian into the jacobian accumulator | analytic `∂x/∂u` and `∂log|J|/∂u` |
 //! | `ScoreElem`/`ScoreVal` | one scalar log-density via [`probdist::lpdf_elem_value`] | [`probdist::lpdf_elem_partials`] |
-//! | `ScoreSweep`/`ScoreSweepVal` | one batched site via [`probdist::lpdf_sweep`] | [`probdist::lpdf_sweep_adjoint`] |
+//! | `ScoreSweep`/`ScoreSweepVal` | one batched site, lane kernel at width 1 ([`probdist::lpdf_elem_value_lanes`]; normal hoists `-½ln2π - lnσ` per scale) | partials only ([`probdist::lpdf_elem_partials_only_lanes`]; no density value) |
 //! | `AddScore`/`AddScoreSpan` | `factor` contributions | pass-through |
 //! | `Loop` | body `trip` times with `iter = 0..trip` | body reversed with `iter = trip-1..0` |
 //!
@@ -113,8 +113,8 @@ use std::collections::HashMap;
 use minidiff::rules::UnFn;
 use probdist::sweep::{
     lpdf_elem_partials, lpdf_elem_partials_only_lanes, lpdf_elem_value, lpdf_elem_value_lanes,
-    lpdf_sweep, lpdf_sweep_adjoint, normal_lpdf_const, normal_lpdf_from_const,
-    normal_partials_only, supports_elem, supports_sweep, sweep_arity, AdjSink, SweepArg, SweepVals,
+    normal_lpdf_const, normal_lpdf_from_const, normal_partials_only, supports_elem, supports_sweep,
+    sweep_arity,
 };
 use probdist::{Constraint, DistKind};
 use stan_frontend::ast::{BinOp, FunDecl, UnOp};
@@ -979,23 +979,8 @@ impl DProg {
         }
     }
 
-    fn sweep_vals<'a>(&'a self, xs: VX, regs: &'a [f64], len: usize) -> SweepVals<'a, f64> {
-        match xs {
-            VX::Span(s) => SweepVals::Reals(&regs[s as usize..s as usize + len]),
-            VX::TableF(t) => SweepVals::Reals(&self.tables_f[t as usize][..len]),
-            VX::TableI(t) => SweepVals::Ints(&self.tables_i[t as usize][..len]),
-        }
-    }
-
-    fn sweep_arg<'a>(&'a self, a: SA, regs: &'a [f64], len: usize) -> SweepArg<'a, f64> {
-        match a {
-            SA::Sc(s) => SweepArg::Scalar(self.ra(s, regs, 0)),
-            SA::Span(s) => SweepArg::Reals(&regs[s as usize..s as usize + len]),
-            SA::TableF(t) => SweepArg::Reals(&self.tables_f[t as usize][..len]),
-            SA::TableI(t) => SweepArg::Ints(&self.tables_i[t as usize][..len]),
-        }
-    }
-
+    /// One batched score site's summed log density at a single point: the
+    /// lane kernel at width 1, whose register layout is the single-lane one.
     fn sweep_sum(
         &self,
         kind: DistKind,
@@ -1005,34 +990,7 @@ impl DProg {
         len: u32,
         regs: &[f64],
     ) -> f64 {
-        let n = len as usize;
-        let xv = self.sweep_vals(xs, regs, n);
-        let mut sargs = [SweepArg::Scalar(0.0); 3];
-        for j in 0..k as usize {
-            sargs[j] = self.sweep_arg(args[j], regs, n);
-        }
-        if kind == DistKind::ImproperUniform {
-            // Not a sweep-lowering family; sum its elem kernel directly
-            // (identical in-order accumulation).
-            let mut abuf = [0f64; 3];
-            for (j, a) in sargs.iter().enumerate().take(sweep_arity(kind)) {
-                abuf[j] = match a {
-                    SweepArg::Scalar(v) => *v,
-                    _ => 0.0,
-                };
-            }
-            let mut sum = 0.0;
-            for i in 0..n {
-                let x = match xv {
-                    SweepVals::Reals(v) => v[i],
-                    SweepVals::Ints(v) => v[i] as f64,
-                };
-                sum += lpdf_elem_value(kind, x, &abuf).unwrap_or(f64::NAN);
-            }
-            return sum;
-        }
-        // Compile-time validation guarantees arity and lengths.
-        lpdf_sweep(kind, xv, &sargs[..k as usize]).unwrap_or(f64::NAN)
+        self.sweep_sum_lanes::<1>(kind, xs, args, k, len, regs)[0]
     }
 
     fn forward(&self, ops: &[Op], regs: &mut [f64], acc: &mut Accum) {
@@ -1190,6 +1148,8 @@ impl DProg {
         }
     }
 
+    /// Reverse half of [`DProg::sweep_sum`] with adjoint seed `seed`: the
+    /// width-1 lane kernel (partials only, zero seed skips the site).
     #[allow(clippy::too_many_arguments)]
     fn sweep_reverse(
         &self,
@@ -1202,75 +1162,7 @@ impl DProg {
         regs: &[f64],
         adj: &mut [f64],
     ) {
-        if seed == 0.0 || kind == DistKind::ImproperUniform {
-            // Improper-uniform partials are identically zero.
-            return;
-        }
-        let n = len as usize;
-        // Fast path: no per-element adjoint target aliases the adjoint
-        // buffer, so the batched reverse entry point of `probdist` can
-        // accumulate scalar-broadcast partials directly.
-        let all_scalar = (0..k as usize).all(|j| matches!(args[j], SA::Sc(_)));
-        if !matches!(xs, VX::Span(_)) && all_scalar {
-            let xv = self.sweep_vals(xs, regs, n);
-            let mut sargs = [SweepArg::Scalar(0.0); 3];
-            for j in 0..k as usize {
-                sargs[j] = self.sweep_arg(args[j], regs, n);
-            }
-            let mut d = [0.0f64; 3];
-            {
-                let (d0, rest) = d.split_at_mut(1);
-                let (d1, d2) = rest.split_at_mut(1);
-                let mut sinks = [
-                    AdjSink::Scalar(&mut d0[0]),
-                    AdjSink::Scalar(&mut d1[0]),
-                    AdjSink::Scalar(&mut d2[0]),
-                ];
-                let _ = lpdf_sweep_adjoint(
-                    kind,
-                    xv,
-                    &sargs[..k as usize],
-                    seed,
-                    &mut AdjSink::Skip,
-                    &mut sinks,
-                );
-            }
-            for j in 0..k as usize {
-                if let SA::Sc(a) = args[j] {
-                    self.bump(a, adj, 0, d[j]);
-                }
-            }
-            return;
-        }
-        let mut abuf = [0f64; 3];
-        for i in 0..n {
-            for j in 0..k as usize {
-                abuf[j] = match args[j] {
-                    SA::Sc(s) => self.ra(s, regs, 0),
-                    SA::Span(s) => regs[s as usize + i],
-                    SA::TableF(t) => self.tables_f[t as usize][i],
-                    SA::TableI(t) => self.tables_i[t as usize][i] as f64,
-                };
-            }
-            let x = match xs {
-                VX::Span(s) => regs[s as usize + i],
-                VX::TableF(t) => self.tables_f[t as usize][i],
-                VX::TableI(t) => self.tables_i[t as usize][i] as f64,
-            };
-            let Some((_, dx, dp)) = lpdf_elem_partials(kind, x, &abuf) else {
-                continue;
-            };
-            if let VX::Span(s) = xs {
-                adj[s as usize + i] += dx * seed;
-            }
-            for j in 0..k as usize {
-                match args[j] {
-                    SA::Sc(a) => self.bump(a, adj, 0, dp[j] * seed),
-                    SA::Span(s) => adj[s as usize + i] += dp[j] * seed,
-                    SA::TableF(_) | SA::TableI(_) => {}
-                }
-            }
-        }
+        self.sweep_reverse_lanes::<1>(kind, xs, args, k, len, &[seed], regs, adj);
     }
 
     fn reverse(&self, ops: &[Op], regs: &[f64], adj: &mut [f64]) {
@@ -1542,8 +1434,9 @@ impl DProg {
         }
     }
 
-    /// Lane mirror of `sweep_sum`: per-lane sums in identical element order,
-    /// with the same ImproperUniform and unsupported-family handling.
+    /// Per-lane summed log density of one batched score site, in element
+    /// order. This is the only sweep forward kernel: the single-point
+    /// [`DProg::sweep_sum`] is its width-1 instance.
     fn sweep_sum_lanes<const L: usize>(
         &self,
         kind: DistKind,
@@ -1571,8 +1464,8 @@ impl DProg {
             }
             return sum;
         }
-        // `lpdf_sweep`'s guards surface as NaN exactly like the single-lane
-        // path (compile-time validation makes them unreachable in practice).
+        // Unsupported families and short argument lists score NaN
+        // (compile-time validation makes them unreachable in practice).
         if !supports_sweep(kind) || (k as usize) < sweep_arity(kind) {
             return [f64::NAN; L];
         }
@@ -1654,9 +1547,11 @@ impl DProg {
         sum
     }
 
-    /// Lane mirror of `sweep_reverse`, including the scalar-broadcast fast
-    /// path's accumulate-then-bump structure. Zero-seed lanes are masked the
-    /// way a zero seed skips the whole single-lane sweep.
+    /// Reverse half of [`DProg::sweep_sum_lanes`]: partials only (the density
+    /// value is never computed), scalar-broadcast arguments accumulated over
+    /// the site and bumped once, and zero-seed lanes masked so a zero seed
+    /// leaves the adjoints untouched. [`DProg::sweep_reverse`] is its width-1
+    /// instance.
     #[allow(clippy::too_many_arguments)]
     fn sweep_reverse_lanes<const L: usize>(
         &self,

@@ -13,10 +13,11 @@
 //!   element's log-density or partials.
 //! * **Sweep shims** ([`sweep_sum_c`], [`sweep_reverse_c`]) — whole batched
 //!   score sites. These wrap the interpreter's own private
-//!   `DProg::sweep_sum` / `DProg::sweep_reverse`, rebuilding the register
-//!   and adjoint slices from the raw base pointers the emitted code keeps
-//!   in `r12`/`r13`. A `ScoreSweep` op therefore costs the JIT one call,
-//!   identical math, identical accumulation order.
+//!   `DProg::sweep_sum` / `DProg::sweep_reverse` (the lane sweep kernels
+//!   at width 1), rebuilding the register and adjoint slices from the raw
+//!   base pointers the emitted code keeps in `r12`/`r13`. A `ScoreSweep` op
+//!   therefore costs the JIT one call, identical math, identical
+//!   accumulation order.
 //!
 //! All shims follow the System-V AMD64 convention `extern "C"` implies:
 //! pointer arguments in `rdi`/`rsi`/…, `f64` arguments in `xmm0..`, `f64`
@@ -118,8 +119,9 @@ pub(super) unsafe extern "C" fn sweep_sum_c(
 }
 
 /// Reverse pass of one batched score site with adjoint seed `seed` —
-/// exactly `DProg::sweep_reverse`, including its early return on a zero
-/// seed and the all-scalar fast path.
+/// exactly `DProg::sweep_reverse`, the width-1 lane kernel: partials only
+/// (no density value), scalar-broadcast arguments accumulated over the site
+/// and bumped once, and no adjoint touched on a zero seed.
 ///
 /// # Safety
 /// As [`sweep_sum_c`], plus `adj` must point at `dp.n_regs` writable

@@ -182,12 +182,15 @@ pub fn tilde_lpdf_kind<T: Real, V: std::borrow::Borrow<Value<T>>>(
     };
 
     // Broadcasting: if the outcome is a container and some scalar-distribution
-    // argument is a container of the same length, apply element-wise.
-    let is_container = matches!(lhs, Value::Vector(_) | Value::IntArray(_) | Value::Array(_));
-    if is_container && !multivariate {
+    // argument is a container of the same length (length 1 included), apply
+    // element-wise.
+    let is_container =
+        |v: &Value<T>| matches!(v, Value::Vector(_) | Value::IntArray(_) | Value::Array(_));
+    if is_container(lhs) && !multivariate {
         let xs = lhs.as_real_vec()?;
         let n = xs.len();
-        let any_vector_arg = !vector_param && args.iter().any(|a| a.borrow().len() > 1);
+        let per_elem = |a: &Value<T>| a.len() > 1 || (is_container(a) && a.len() == n);
+        let any_vector_arg = !vector_param && args.iter().any(|a| per_elem(a.borrow()));
         if any_vector_arg {
             // Element-wise distribution parameters. Flatten each container
             // argument once up front (not once per element) and reuse one
@@ -199,7 +202,7 @@ pub fn tilde_lpdf_kind<T: Real, V: std::borrow::Borrow<Value<T>>>(
             let mut flat: Vec<Bcast<T>> = Vec::with_capacity(args.len());
             for a in args {
                 let a = a.borrow();
-                if a.len() > 1 {
+                if per_elem(a) {
                     let v = a.as_real_vec()?;
                     if v.len() != n {
                         return Err(RuntimeError::new(format!(
@@ -276,9 +279,8 @@ pub fn tilde_lpdf_kind_batched<T: Real, V: std::borrow::Borrow<Value<T>>>(
                 match a.borrow() {
                     Value::Real(x) => sargs.push(SweepArg::Scalar(*x)),
                     Value::Int(k) => sargs.push(SweepArg::Scalar(T::from_f64(*k as f64))),
-                    // The scalar path treats containers of length 1 (and
-                    // mismatched lengths) as errors for these scalar-argument
-                    // families; route them back to it.
+                    // Length-1 sites and mismatched lengths go back to the
+                    // element-wise path, which owns their scoring and errors.
                     Value::Vector(v) if v.len() == n && n > 1 => {
                         sargs.push(SweepArg::Reals(v.as_slice()))
                     }

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use minidiff::Real;
-use probdist::dist::{dist_from_name, Dist, DistArg};
+use probdist::dist::{dist_from_name, Dist, DistArg, DistKind};
 use probdist::sampling;
 use probdist::sweep::{lpdf_sweep, SweepArg, SweepVals};
 use rand::rngs::StdRng;
@@ -753,22 +753,26 @@ fn draw_site<T: Real>(
         "dirichlet" | "multi_normal" | "multi_normal_diag"
     );
     let mut rng = rng.borrow_mut();
+    // Categorical-style families take a whole vector per draw.
+    let vector_param = DistKind::from_name(dist_name).is_some_and(DistKind::has_vector_param);
+    let elementwise = !dims.is_empty() && !multivariate && !vector_param;
     let mut draw_scalar = |i: usize| -> Result<Value<T>, RuntimeError> {
-        // When a distribution argument is a vector of the same length as
-        // the site (e.g. `theta ~ normal(mu_vec, sigma)` under the mixed
-        // scheme), use the i-th component.
+        // When a distribution argument is a container of the same length as
+        // a shaped univariate site (e.g. `theta ~ normal(mu_vec, sigma)`
+        // under the mixed scheme, also at length 1), use the i-th component.
         let elem_args: Vec<DistArg<T>> = args
             .iter()
             .map(|a| -> Result<DistArg<T>, RuntimeError> {
-                if a.len() as i64 == total && total > 1 {
-                    Ok(DistArg::Scalar(a.as_real_vec()?[i]))
-                } else {
-                    match a {
-                        Value::Vector(_) | Value::IntArray(_) | Value::Array(_) => {
-                            Ok(DistArg::Vector(a.as_real_vec()?))
-                        }
-                        other => Ok(DistArg::Scalar(other.as_real()?)),
+                match a {
+                    Value::Vector(_) | Value::IntArray(_) | Value::Array(_) => {
+                        let v = a.as_real_vec()?;
+                        Ok(if elementwise && v.len() as i64 == total {
+                            DistArg::Scalar(v[i])
+                        } else {
+                            DistArg::Vector(v)
+                        })
                     }
+                    other => Ok(DistArg::Scalar(other.as_real()?)),
                 }
             })
             .collect::<Result<_, _>>()?;

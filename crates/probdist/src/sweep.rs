@@ -742,98 +742,6 @@ fn arg_windows<'a, T: Real>(args: &[SweepArg<'a, T>], n: usize) -> [ArgWindow<'a
     out
 }
 
-/// An adjoint accumulation target for one operand of a batched sweep.
-pub enum AdjSink<'a> {
-    /// The operand needs no adjoint (untracked data).
-    Skip,
-    /// A scalar broadcast operand: partials sum over the sweep.
-    Scalar(&'a mut f64),
-    /// A per-element operand: one adjoint slot per element.
-    Elems(&'a mut [f64]),
-}
-
-impl AdjSink<'_> {
-    #[inline]
-    fn add(&mut self, i: usize, v: f64) {
-        match self {
-            AdjSink::Skip => {}
-            AdjSink::Scalar(s) => **s += v,
-            AdjSink::Elems(e) => e[i] += v,
-        }
-    }
-}
-
-/// The reverse rule of [`lpdf_sweep`] callable without any tape `Var`s: for
-/// every element, accumulates `seed · ∂lpdf/∂(operand)` into the caller's
-/// adjoint sinks (`+=`, so fan-in composes). `seed` is the adjoint of the
-/// sweep's summed log density (1.0 when the sweep feeds the log density
-/// directly).
-///
-/// The partials are exactly the ones [`lpdf_sweep`] records on its fused tape
-/// node — this entry point exists so backends that keep no tape (the
-/// `gprob::dprog` flat density programs) reuse the identical formulas.
-///
-/// # Errors
-/// Same argument validation as [`lpdf_sweep`] (plus `improper_uniform`,
-/// whose partials are identically zero).
-pub fn lpdf_sweep_adjoint(
-    kind: DistKind,
-    xs: SweepVals<'_, f64>,
-    args: &[SweepArg<'_, f64>],
-    seed: f64,
-    x_sink: &mut AdjSink<'_>,
-    arg_sinks: &mut [AdjSink<'_>; 3],
-) -> Result<(), DistError> {
-    if !supports_elem(kind) {
-        return Err(DistError::new(format!(
-            "{}: no batched sweep kernel",
-            kind.name()
-        )));
-    }
-    let k = sweep_arity(kind);
-    if args.len() < k {
-        return Err(DistError::new(format!(
-            "{}: expected {k} arguments, got {}",
-            kind.name(),
-            args.len()
-        )));
-    }
-    let args = &args[..k];
-    let n = xs.len();
-    for a in args {
-        if let Some(len) = a.slice_len() {
-            if len != n {
-                return Err(DistError::new(format!(
-                    "broadcast length mismatch in {}: {len} vs {n}",
-                    kind.name()
-                )));
-            }
-        }
-    }
-    let aw = arg_windows(args, n);
-    let mut body = |i: usize, xv: f64| {
-        let abuf = [aw[0].value(i), aw[1].value(i), aw[2].value(i)];
-        let (_, dx, dp) = elem(kind, xv, &abuf, true);
-        x_sink.add(i, dx * seed);
-        for (j, sink) in arg_sinks.iter_mut().enumerate().take(k) {
-            sink.add(i, dp[j] * seed);
-        }
-    };
-    match xs {
-        SweepVals::Reals(v) => {
-            for (i, x) in v[..n].iter().enumerate() {
-                body(i, x.value());
-            }
-        }
-        SweepVals::Ints(v) => {
-            for (i, &x) in v[..n].iter().enumerate() {
-                body(i, x as f64);
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Sum of element-wise log densities of a batched observation site, with
 /// the analytic fused reverse rule on the gradient path.
 ///
@@ -1206,63 +1114,6 @@ mod tests {
         // programs) but is not a sweep-lowering family.
         assert!(supports_elem(DistKind::ImproperUniform));
         assert!(!supports_sweep(DistKind::ImproperUniform));
-    }
-
-    #[test]
-    fn adjoint_entry_matches_the_fused_tape_gradients() {
-        // y[i] ~ normal(mu[i], sigma): compare lpdf_sweep_adjoint (no Var
-        // anywhere) against the fused tape node's gradients.
-        let ys = [0.5, -0.2, 1.7];
-        let mus = [0.0, 0.3, 1.0];
-        let sigma = 0.8;
-        tape::reset();
-        let yv: Vec<Var> = ys.iter().map(|&y| Var::new(y)).collect();
-        let muv: Vec<Var> = mus.iter().map(|&m| Var::new(m)).collect();
-        let sv = Var::new(sigma);
-        let fused = lpdf_sweep(
-            DistKind::Normal,
-            SweepVals::Reals(&yv),
-            &[SweepArg::Reals(&muv), SweepArg::Scalar(sv)],
-        )
-        .unwrap();
-        let mut wrt = yv.clone();
-        wrt.extend(&muv);
-        wrt.push(sv);
-        let tape_grad = grad(fused, &wrt);
-        // Tape-free reverse with a non-unit seed (adjoint composition).
-        let seed = 1.7;
-        let mut dx = [0.0f64; 3];
-        let mut dmu = [0.0f64; 3];
-        let mut dsigma = 0.0f64;
-        lpdf_sweep_adjoint(
-            DistKind::Normal,
-            SweepVals::Reals(&ys),
-            &[SweepArg::Reals(&mus), SweepArg::Scalar(sigma)],
-            seed,
-            &mut AdjSink::Elems(&mut dx),
-            &mut [
-                AdjSink::Elems(&mut dmu),
-                AdjSink::Scalar(&mut dsigma),
-                AdjSink::Skip,
-            ],
-        )
-        .unwrap();
-        for i in 0..3 {
-            assert!((dx[i] - seed * tape_grad[i]).abs() < 1e-12);
-            assert!((dmu[i] - seed * tape_grad[3 + i]).abs() < 1e-12);
-        }
-        assert!((dsigma - seed * tape_grad[6]).abs() < 1e-12);
-        // The public elem entry agrees with the sweep decomposition.
-        let (lp, d_x, d_args) =
-            lpdf_elem_partials(DistKind::Normal, ys[0], &[mus[0], sigma, 0.0]).unwrap();
-        assert!(
-            (lp - lpdf_elem_value(DistKind::Normal, ys[0], &[mus[0], sigma, 0.0]).unwrap()).abs()
-                < 1e-15
-        );
-        assert!((d_x * seed - dx[0]).abs() < 1e-12);
-        assert!((d_args[0] * seed - dmu[0]).abs() < 1e-12);
-        // Unsupported families report None.
-        assert!(lpdf_elem_partials(DistKind::Dirichlet, 0.5, &[1.0, 1.0, 0.0]).is_none());
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn run(name: &str, route: Route) -> Fit {
 
 #[test]
 fn nuts_trajectories_match_their_pinned_fingerprints() {
-    let pinned: [(&str, Route, u64); 9] = [
+    let pinned: [(&str, Route, u64); 17] = [
         ("coin", Route::Threads, 0x48fe_14a1_16de_a817),
         ("coin", Route::Lockstep, 0x48fe_14a1_16de_a817),
         ("coin", Route::Reference, 0xe013_df56_9768_b7af),
@@ -86,6 +86,14 @@ fn nuts_trajectories_match_their_pinned_fingerprints() {
         ("garch11", Route::Lockstep, 0x7bcc_df9a_341f_b218),
         ("radon_hierarchical", Route::Threads, 0x8a10_6040_d10a_5b6e),
         ("radon_hierarchical", Route::Lockstep, 0x8a10_6040_d10a_5b6e),
+        ("implicit_prior", Route::Threads, 0xd64d_a0e5_8c02_9814),
+        ("implicit_prior", Route::Lockstep, 0xd64d_a0e5_8c02_9814),
+        ("kidscore_momiq", Route::Threads, 0xb9f8_f66d_147c_e554),
+        ("kidscore_momiq", Route::Lockstep, 0xb9f8_f66d_147c_e554),
+        ("nes_logit", Route::Threads, 0x4129_eeb3_5ed8_ffe7),
+        ("nes_logit", Route::Lockstep, 0x4129_eeb3_5ed8_ffe7),
+        ("seeds_binomial", Route::Threads, 0x000e_55aa_c366_e6d4),
+        ("seeds_binomial", Route::Lockstep, 0x000e_55aa_c366_e6d4),
     ];
     let mut mismatches = Vec::new();
     for (name, route, want) in pinned {
